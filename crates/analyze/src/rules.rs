@@ -705,8 +705,8 @@ mod tests {
             vec![1, 2, 3]
         );
         // Outside the reactor the same calls are the intended blocking
-        // idiom (the threaded TCP transport lives on them).
-        assert!(check("crates/node/src/tcp.rs", src).is_empty());
+        // idiom (the metrics HTTP server lives on them).
+        assert!(check("crates/telemetry/src/http.rs", src).is_empty());
     }
 
     #[test]

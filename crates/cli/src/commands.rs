@@ -233,17 +233,12 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
     let meetings: usize = args.get_or("meetings", 200)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let transport: TransportKind = args
-        .get_choice(
-            "transport",
-            &["loopback", "tcp", "threads", "reactor"],
-            "loopback",
-        )?
+        .get_choice("transport", &["loopback", "reactor"], "loopback")?
         .parse()?;
     let premeetings = args.get_choice("premeetings", &["yes", "no"], "no")? == "yes";
     let stall: u32 = args.get_or("stall", 0)?;
     let threads: usize = args.get_or("threads", 0)?;
     let metrics_out = args.get("metrics-out");
-    let stats_endpoint = args.get_choice("stats-endpoint", &["yes", "no"], "no")? == "yes";
     let state_dir = args.get("state-dir").map(std::path::PathBuf::from);
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
     let round_delay_ms: u64 = args.get_or("round-delay-ms", 0)?;
@@ -262,12 +257,10 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         premeetings,
         stall: (stall > 0).then_some(StallPlan {
             node_index: 1 % peers,
-            at_meeting: 0,
             count: stall,
         }),
         threads,
-        telemetry: metrics_out.is_some() || stats_endpoint,
-        stats_endpoint,
+        telemetry: metrics_out.is_some(),
         state_dir,
         checkpoint_every,
         round_delay: (round_delay_ms > 0).then(|| std::time::Duration::from_millis(round_delay_ms)),
@@ -282,7 +275,7 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
         meetings,
         jxp_pagerank::par::resolve_threads(threads),
         if stall > 0 {
-            format!(" (stalling node 1 for {stall} requests, serial rounds)")
+            format!(" (stalling node 1 for {stall} requests)")
         } else {
             String::new()
         }
@@ -331,19 +324,6 @@ pub fn cluster(args: &ParsedArgs) -> Result<(), String> {
             s.bytes_in,
             s.bytes_out
         );
-    }
-    if let Some(wire) = &report.wire_stats {
-        println!("stats endpoint sweep (StatsRequest over the wire, one reply per node):");
-        println!(
-            "{:>5} {:>9} {:>9} {:>12} {:>12}",
-            "node", "initiated", "served", "bytes in", "bytes out"
-        );
-        for s in wire {
-            println!(
-                "{:>5} {:>9} {:>9} {:>12} {:>12}",
-                s.node_id, s.meetings_attempted, s.meetings_served, s.bytes_in, s.bytes_out
-            );
-        }
     }
     if let (Some(path), Some(snapshot)) = (metrics_out, &report.telemetry) {
         write_metrics(path, snapshot)?;
@@ -559,12 +539,13 @@ pub fn metrics_cmd(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `jxp-cli node` — single-node TCP demo: serve one fragment on an
-/// ephemeral localhost port, then drive a second in-process node through
-/// a real hello + synopsis probe + meeting against it over the socket.
+/// `jxp-cli node` — single-node socket demo: serve one fragment through
+/// a reactor listener on an ephemeral localhost port, then drive a second
+/// in-process node through a real hello + synopsis probe + meeting
+/// against it over the socket.
 pub fn node(args: &ParsedArgs) -> Result<(), String> {
     use jxp_core::JxpPeer;
-    use jxp_node::{JxpNode, RetryPolicy, TcpConfig, TcpServer, TcpTransport};
+    use jxp_node::{serve_on_reactor, JxpNode, RetryPolicy};
     use jxp_synopses::mips::MipsPermutations;
 
     let seed: u64 = args.get_or("seed", 42)?;
@@ -583,12 +564,12 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         JxpPeer::new(frags.next().unwrap(), n as u64, JxpConfig::default()),
         &perms,
     ));
-    let server = TcpServer::spawn(Arc::clone(&server_node) as _)
+    let (_reactor, transport) = serve_on_reactor(&[Arc::clone(&server_node) as _], None)
         .map_err(|e| format!("binding localhost: {e}"))?;
     println!(
         "node 0 serving {} pages on {}",
         server_node.with_peer(|p| p.num_pages()),
-        server.addr()
+        transport.route(0).expect("node 0 is routed")
     );
 
     let client = JxpNode::new(
@@ -596,8 +577,6 @@ pub fn node(args: &ParsedArgs) -> Result<(), String> {
         JxpPeer::new(frags.next().unwrap(), n as u64, JxpConfig::default()),
         &perms,
     );
-    let transport = TcpTransport::new(TcpConfig::default());
-    transport.add_route(0, server.addr());
     let policy = RetryPolicy::default();
     let (peer_id, peer_pages) = client
         .hello(0, &transport, &policy)
@@ -709,11 +688,7 @@ fn serve_params(args: &ParsedArgs) -> Result<jxp_serve::ServeExperimentParams, S
         dataset: preset(args)?,
         metrics_listen: args.get("metrics-listen").map(String::from),
         transport: args
-            .get_choice(
-                "transport",
-                &["loopback", "tcp", "threads", "reactor"],
-                "loopback",
-            )?
+            .get_choice("transport", &["loopback", "reactor"], "loopback")?
             .parse()?,
     })
 }

@@ -1,37 +1,43 @@
-//! Cluster driver: spawn N nodes over loopback or localhost TCP, run M
-//! meetings through the real wire codec, and report convergence and
-//! traffic. Backs the `jxp cluster` CLI command and the integration
+//! Cluster driver: spawn N nodes over loopback or the socket reactor,
+//! run M meetings through the real wire codec, and report convergence
+//! and traffic. Backs the `jxp cluster` CLI command and the integration
 //! tests; fault injection ([`StallPlan`]) proves the timeout + retry
 //! path keeps a run alive when a peer stalls mid-experiment.
+//!
+//! Every transport runs through the same two batch paths, built on
+//! [`Transport::submit`]: the windowed pre-meetings sweep and the round
+//! executor. On loopback a submit completes inline; on the reactor it
+//! queues, so the same code holds hundreds of exchanges in flight.
 
 use crate::loopback::LoopbackNetwork;
-use crate::node::{JxpNode, NodeMetrics, NodeStats};
+use crate::node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 use crate::persist::{NodePersist, PersistConfig, SharedStore};
-use crate::reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
-use crate::tcp::{TcpConfig, TcpServer, TcpTransport};
-use crate::transport::{FrameHandler, NodeId, RetryPolicy, StallInjector, Transport};
+use crate::reactor::serve_on_reactor;
+use crate::transport::{
+    retry_submitted, FrameHandler, NodeId, RetryPolicy, StallInjector, Transport,
+};
 use jxp_core::config::JxpConfig;
 use jxp_core::evaluate::{centralized_ranking, total_ranking};
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_pagerank::metrics::footrule_distance;
-use jxp_reactor::{Reactor, ReactorConfig, ReactorMetrics};
+use jxp_reactor::Reactor;
 use jxp_store::{DirStore, StoreMetrics, WalKind, WalRecord};
 use jxp_synopses::mips::MipsPermutations;
 use jxp_telemetry::{Event, MetricsServer, TelemetryHub, TelemetrySnapshot};
 use jxp_webgraph::Subgraph;
-use jxp_wire::StatsPayload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Sliding submission window for the reactor's all-pairs pre-meetings
-/// sweep: how many synopsis probes one driver thread keeps in flight.
-/// Sized so even modest clusters exercise hundreds of concurrent
-/// exchanges; the in-flight gauge peaks at `min(window, pairs)`.
+/// Sliding submission window for the all-pairs pre-meetings sweep: how
+/// many synopsis probes the driver keeps in flight. Sized so even
+/// modest reactor clusters exercise hundreds of concurrent exchanges;
+/// the in-flight gauge peaks at `min(window + 1, pairs)`.
 const PREMEET_WINDOW: usize = 512;
 
 /// Which transport carries the frames.
@@ -39,10 +45,9 @@ const PREMEET_WINDOW: usize = 512;
 pub enum TransportKind {
     /// Deterministic in-memory codec loopback.
     Loopback,
-    /// Localhost TCP, thread-per-connection (alias: `threads`).
-    Tcp,
-    /// Non-blocking multiplexed reactor: one loop thread moves every
-    /// frame, hundreds of meetings stay in flight at once.
+    /// Non-blocking multiplexed reactor over localhost sockets: one
+    /// loop thread moves every frame, hundreds of meetings stay in
+    /// flight at once.
     Reactor,
 }
 
@@ -52,23 +57,22 @@ impl std::str::FromStr for TransportKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "loopback" => Ok(TransportKind::Loopback),
-            "tcp" | "threads" => Ok(TransportKind::Tcp),
             "reactor" => Ok(TransportKind::Reactor),
             other => Err(format!(
-                "unknown transport '{other}' (expected loopback|tcp|threads|reactor)"
+                "unknown transport '{other}' (expected loopback|reactor)"
             )),
         }
     }
 }
 
-/// Injected fault: just before meeting number `at_meeting` starts, node
-/// `node_index` begins swallowing the next `count` inbound requests.
+/// Injected fault: before the first meeting round, node `node_index`
+/// begins swallowing the next `count` inbound requests. Rounds are
+/// node-disjoint, so at most one meeting per round targets the stalled
+/// node and the swallowed requests are the same at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallPlan {
     /// Index (0-based) of the node that stalls.
     pub node_index: usize,
-    /// Meeting number at which the stall is armed.
-    pub at_meeting: usize,
     /// How many consecutive requests it swallows.
     pub count: u32,
 }
@@ -78,7 +82,7 @@ pub struct StallPlan {
 pub struct ClusterConfig {
     /// Total meetings to initiate (round-robin initiators).
     pub meetings: usize,
-    /// Loopback or TCP.
+    /// Loopback or the socket reactor.
     pub transport: TransportKind,
     /// Seed for partner selection (and synopsis permutations).
     pub seed: u64,
@@ -96,17 +100,12 @@ pub struct ClusterConfig {
     /// two in-flight meetings sharing a node would interleave their lock
     /// acquisitions nondeterministically (a node answers inbound requests
     /// while its own exchange is in flight), so disjointness is what
-    /// makes the results bit-identical for every value of this knob. A
-    /// [`StallPlan`] forces serial round execution so the injector
-    /// swallows exactly the scheduled requests.
+    /// makes the results bit-identical for every value of this knob.
     pub threads: usize,
     /// Collect telemetry: per-node registry counters plus a structured
     /// event stream, snapshotted into [`ClusterReport::telemetry`].
     /// Observation-only — results are bit-identical either way.
     pub telemetry: bool,
-    /// Enable every node's wire stats endpoint and sweep it after the
-    /// run into [`ClusterReport::wire_stats`].
-    pub stats_endpoint: bool,
     /// Serve the Prometheus text exposition over HTTP at this address
     /// (e.g. `127.0.0.1:9184`; port 0 binds an ephemeral port, reported
     /// in [`ClusterReport::metrics_addr`]) for the duration of the run.
@@ -150,7 +149,6 @@ impl Default for ClusterConfig {
             mips_dims: 64,
             threads: 1,
             telemetry: false,
-            stats_endpoint: false,
             metrics_listen: None,
             hub: None,
             state_dir: None,
@@ -184,10 +182,6 @@ pub struct ClusterReport {
     /// taken at the same instant as `per_node` — counter totals match
     /// the `NodeStats` sums exactly.
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Counter snapshots fetched over the wire via `StatsRequest` (when
-    /// [`ClusterConfig::stats_endpoint`] was set), one per node. Fetched
-    /// after `per_node`, so the first fetch mirrors it exactly.
-    pub wire_stats: Option<Vec<StatsPayload>>,
     /// FNV-1a hash over every node's final score bits, in node order.
     /// Bit-identical runs — including a killed run resumed from its
     /// [`ClusterConfig::state_dir`] — report the same hash.
@@ -198,8 +192,8 @@ pub struct ClusterReport {
     pub metrics_addr: Option<SocketAddr>,
     /// High-water mark of concurrent in-flight requests over the whole
     /// run, as tracked by the `jxp_node_inflight_meetings` gauge. Only
-    /// on [`TransportKind::Reactor`] — the blocking transports have no
-    /// submission queue to measure.
+    /// on [`TransportKind::Reactor`] — loopback completes every
+    /// exchange inline, so it has no submission queue to measure.
     pub inflight_peak: Option<u64>,
 }
 
@@ -242,8 +236,8 @@ pub struct ClusterHooks<'a> {
 /// the merged distributed ranking (top-100, as in the paper's plots).
 ///
 /// # Panics
-/// Panics if `fragments` has fewer than two entries, or if a TCP server
-/// fails to bind.
+/// Panics if `fragments` has fewer than two entries, or if a reactor
+/// listener fails to bind.
 pub fn run_cluster(
     fragments: Vec<Subgraph>,
     n_total: u64,
@@ -359,11 +353,6 @@ pub fn run_cluster_with(
             node
         })
         .collect();
-    if config.stats_endpoint {
-        for node in &nodes {
-            node.enable_stats_endpoint();
-        }
-    }
     let injectors: Vec<Arc<StallInjector>> = nodes
         .iter()
         .enumerate()
@@ -376,81 +365,43 @@ pub fn run_cluster_with(
         })
         .collect();
 
-    // Bring up the chosen transport; TCP servers stay alive in
-    // `_servers`, the reactor's loop thread in `reactor`. The typed
-    // `reactor_rt` clone is what the batch paths (premeet sweep,
-    // pipelined rounds) use — the `Box<dyn Transport>` facade only
-    // carries the serial traffic (hellos, stats sweep, stall runs).
-    let mut _servers: Vec<TcpServer> = Vec::new();
+    // Bring up the chosen transport; the reactor's loop thread lives in
+    // `reactor` until the run returns.
+    let handlers: Vec<Arc<dyn FrameHandler>> = injectors
+        .iter()
+        .map(|inj| Arc::clone(inj) as Arc<dyn FrameHandler>)
+        .collect();
     let mut reactor: Option<Reactor> = None;
-    let mut reactor_rt: Option<ReactorTransport> = None;
     let transport: Box<dyn Transport> = match config.transport {
         TransportKind::Loopback => {
             let net = LoopbackNetwork::new();
-            for (i, inj) in injectors.iter().enumerate() {
-                net.register(i as NodeId, Arc::clone(inj) as Arc<dyn FrameHandler>);
+            for (i, handler) in handlers.iter().enumerate() {
+                net.register(i as NodeId, Arc::clone(handler));
             }
             Box::new(net)
         }
-        TransportKind::Tcp => {
-            let tcp = TcpTransport::new(TcpConfig::default());
-            for (i, inj) in injectors.iter().enumerate() {
-                let server = TcpServer::spawn(Arc::clone(inj) as Arc<dyn FrameHandler>)
-                    .expect("bind localhost TCP server");
-                tcp.add_route(i as NodeId, server.addr());
-                _servers.push(server);
-            }
-            Box::new(tcp)
-        }
         TransportKind::Reactor => {
-            let metrics = match &hub {
-                Some(hub) => ReactorMetrics::registered(hub.registry()),
-                None => ReactorMetrics::detached(),
-            };
-            let r = Reactor::start(ReactorConfig::default(), metrics);
-            let rt = ReactorTransport::new(r.handle());
-            for (i, inj) in injectors.iter().enumerate() {
-                let service = Arc::new(HandlerService(Arc::clone(inj) as Arc<dyn FrameHandler>));
-                let addr = r.handle().listen(service).expect("bind reactor listener");
-                rt.add_route(i as NodeId, addr);
-            }
+            let registry = hub.as_ref().map(|hub| hub.registry());
+            let (r, rt) = serve_on_reactor(&handlers, registry).expect("bind reactor listener");
             reactor = Some(r);
-            reactor_rt = Some(rt.clone());
             Box::new(rt)
         }
     };
+    let transport = transport.as_ref();
 
     // Join handshake: each node hellos its ring successor over the wire.
     for (i, node) in nodes.iter().enumerate() {
         let next = ((i + 1) % num_nodes) as NodeId;
-        let _ = node.hello(next, transport.as_ref(), &config.retry);
+        let _ = node.hello(next, transport, &config.retry);
     }
 
-    // Pre-meetings: one synopsis sweep per node, over the wire, so the
-    // probe traffic is real and counted. On the reactor the all-pairs
-    // sweep runs under a sliding submission window — synopses are
-    // immutable until the first meeting, so the answers (and the bytes
-    // counted) are identical to the serial sweep's, just concurrent.
+    // Pre-meetings: one all-pairs synopsis sweep over the wire, so the
+    // probe traffic is real and counted.
     let premeet_cfg = PreMeetingsConfig::default();
-    let remote_synopses: Vec<Vec<(NodeId, PeerSynopses)>> = if !config.premeetings {
-        Vec::new()
-    } else if let Some(rt) = &reactor_rt {
-        reactor_premeet_sweep(rt, &nodes, &config.retry, PREMEET_WINDOW)
+    let remote_synopses: Vec<Vec<(NodeId, PeerSynopses)>> = if config.premeetings {
+        premeet_sweep(transport, &nodes, &config.retry)
     } else {
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                (0..num_nodes)
-                    .filter(|&j| j != i)
-                    .filter_map(|j| {
-                        node.fetch_synopses(j as NodeId, transport.as_ref(), &config.retry)
-                            .ok()
-                            .map(|syn| (j as NodeId, syn))
-                    })
-                    .collect()
-            })
-            .collect()
+        Vec::new()
     };
 
     // Draw the whole schedule serially (round-robin initiators, seeded
@@ -566,9 +517,10 @@ pub fn run_cluster_with(
         )
     });
 
-    // Stall injection must see requests in schedule order to swallow
-    // exactly the planned ones, so it pins execution to one worker.
-    let workers = if config.stall.is_some() { 1 } else { threads };
+    // Armed after the hellos and the sweep, before the first round.
+    if let Some(plan) = config.stall {
+        injectors[plan.node_index].stall_next(plan.count);
+    }
     // The concurrent driver (if any) runs for the whole meeting phase
     // and is joined before any teardown, so every frame it sends meets
     // a live handler chain.
@@ -576,7 +528,7 @@ pub fn run_cluster_with(
     std::thread::scope(|driver_scope| {
         let driver = hooks.concurrent.map(|run| {
             let ctx = ClusterCtx {
-                transport: transport.as_ref(),
+                transport,
                 nodes: &nodes,
                 meetings_done: &meetings_done,
                 metrics_addr,
@@ -595,55 +547,10 @@ pub fn run_cluster_with(
             if round.is_empty() {
                 continue;
             }
-            let arm_stall = |m: usize| {
-                if let Some(plan) = config.stall {
-                    if plan.at_meeting == m {
-                        injectors[plan.node_index].stall_next(plan.count);
-                    }
-                }
-            };
-            // Outcomes are collected in schedule order so telemetry events
+            // Outcomes come back in schedule order so telemetry events
             // can be emitted serially afterwards: the event stream is then
             // independent of how the round's meetings interleaved.
-            let mut outcomes: Vec<Option<crate::node::MeetOutcome>> = vec![None; round.len()];
-            if let (Some(rt), None) = (&reactor_rt, config.stall) {
-                // Reactor path: submit the whole node-disjoint round,
-                // then harvest in schedule order. Disjointness makes
-                // the reordering invisible (no pair touches another's
-                // state), so outcomes are bit-identical to the serial
-                // and pooled paths at every `threads` value.
-                let tasks: Vec<(usize, NodeId, &mut Option<crate::node::MeetOutcome>)> = round
-                    .iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|(&(_, initiator, target), slot)| (initiator, target, slot))
-                    .collect();
-                run_reactor_round(rt, &nodes, &config.retry, tasks);
-            } else if workers.min(round.len()) <= 1 {
-                for (k, &(m, initiator, target)) in round.iter().enumerate() {
-                    arm_stall(m);
-                    // Failures are part of the experiment: counted, never fatal.
-                    outcomes[k] = nodes[initiator]
-                        .meet(target, transport.as_ref(), &config.retry)
-                        .ok();
-                }
-            } else {
-                // Persistent shared pool instead of spawn-per-round
-                // scoped threads: each task owns its outcome slot, so
-                // placement (dealing or stealing) cannot reorder or
-                // lose results.
-                let nodes = &nodes;
-                let transport = transport.as_ref();
-                let retry = &config.retry;
-                let tasks: Vec<(usize, NodeId, &mut Option<crate::node::MeetOutcome>)> = round
-                    .iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|(&(_, initiator, target), slot)| (initiator, target, slot))
-                    .collect();
-                jxp_pool::global().run_dealt(workers, tasks, |(initiator, target, slot)| {
-                    // Failures are part of the experiment: counted, never fatal.
-                    *slot = nodes[initiator].meet(target, transport, retry).ok();
-                });
-            }
+            let outcomes = run_round(transport, &nodes, &config.retry, threads, &round);
             if let Some(hub) = &hub {
                 for (&(m, initiator, target), outcome) in round.iter().zip(&outcomes) {
                     hub.events().record(Event::MeetingStarted {
@@ -715,26 +622,11 @@ pub fn run_cluster_with(
     if let (Some(hub), Some(f)) = (&hub, footrule) {
         hub.registry().gauge("jxp_cluster_footrule").set(f);
     }
-    // Snapshot before any stats-endpoint sweep so counter totals match
-    // `per_node` exactly (the sweep itself moves bytes). Gated on the
-    // telemetry flag: a hub forced by `metrics_listen` alone stays out
-    // of the report.
+    // Gated on the telemetry flag: a hub forced by `metrics_listen`
+    // alone stays out of the report.
     let telemetry = config
         .telemetry
         .then(|| hub.as_ref().expect("telemetry implies a hub").snapshot());
-    let wire_stats = config.stats_endpoint.then(|| {
-        (0..num_nodes)
-            .map(|j| {
-                let initiator = (j + 1) % num_nodes;
-                nodes[initiator]
-                    .fetch_stats(j as NodeId, transport.as_ref(), &config.retry)
-                    .unwrap_or_else(|_| StatsPayload {
-                        node_id: j as u64,
-                        ..StatsPayload::default()
-                    })
-            })
-            .collect()
-    });
 
     ClusterReport {
         num_nodes,
@@ -746,11 +638,91 @@ pub fn run_cluster_with(
         footrule,
         per_node,
         telemetry,
-        wire_stats,
         score_hash,
         metrics_addr,
         inflight_peak: reactor.as_ref().map(Reactor::peak_inflight),
     }
+}
+
+/// The all-pairs pre-meetings synopsis sweep: submit probes in `(i, j)`
+/// order under a [`PREMEET_WINDOW`] sliding window, harvest in the same
+/// order.
+///
+/// Determinism: synopses are computed at join and do not change until
+/// the first meeting, so every probe's request and reply are
+/// independent of scheduling; collecting in `(i, j)` order makes the
+/// output identical at any window and on any transport.
+fn premeet_sweep(
+    transport: &dyn Transport,
+    nodes: &[Arc<JxpNode>],
+    retry: &RetryPolicy,
+) -> Vec<Vec<(NodeId, PeerSynopses)>> {
+    let n = nodes.len();
+    let mut pairs = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+    let submit = |(i, j): (usize, usize)| {
+        let request = nodes[i].synopses_request();
+        let first = transport.submit(j as NodeId, &request);
+        (i, j as NodeId, request, first)
+    };
+    let mut queue: VecDeque<_> = pairs.by_ref().take(PREMEET_WINDOW).map(submit).collect();
+    let mut results: Vec<Vec<(NodeId, PeerSynopses)>> = vec![Vec::new(); n];
+    while let Some((i, j, request, first)) = queue.pop_front() {
+        // Refill before waiting so the window stays full while the
+        // front probe resolves.
+        queue.extend(pairs.next().map(submit));
+        let outcome = retry_submitted(transport, j, &request, retry, first)
+            .map_err(|failed| failed.error)
+            .and_then(|done| nodes[i].synopses_accept(done.exchange));
+        if let Ok(synopses) = outcome {
+            results[i].push((j, synopses));
+        }
+    }
+    results
+}
+
+/// Execute one node-disjoint meeting round: deal it over `threads`
+/// pool stripes, each of which submits all of its requests and then
+/// harvests them in schedule order. Returns one outcome per meeting,
+/// in schedule order; `Some` exactly when the meeting completed.
+///
+/// Disjointness makes this bit-identical to running the round serially
+/// at any thread count: no meeting in the round touches another pair's
+/// nodes, so every payload equals what serial execution would build.
+fn run_round(
+    transport: &dyn Transport,
+    nodes: &[Arc<JxpNode>],
+    retry: &RetryPolicy,
+    threads: usize,
+    round: &[(usize, usize, NodeId)],
+) -> Vec<Option<MeetOutcome>> {
+    let mut outcomes = vec![None; round.len()];
+    let stripes = threads.clamp(1, round.len().max(1));
+    let mut dealt: Vec<Vec<_>> = (0..stripes).map(|_| Vec::new()).collect();
+    for (k, (&(_, initiator, target), slot)) in round.iter().zip(outcomes.iter_mut()).enumerate() {
+        dealt[k % stripes].push((initiator, target, slot));
+    }
+    jxp_pool::global().run_dealt(stripes, dealt, |stripe| {
+        let inflight: Vec<_> = stripe
+            .into_iter()
+            .map(|(initiator, target, slot)| {
+                let request = nodes[initiator].meet_begin();
+                let first = transport.submit(target, &request);
+                (initiator, target, slot, request, first)
+            })
+            .collect();
+        for (initiator, target, slot, request, first) in inflight {
+            let node = &nodes[initiator];
+            // Failures are part of the experiment: counted, never fatal.
+            *slot = match retry_submitted(transport, target, &request, retry, first) {
+                Ok(done) => node.meet_finish(done.exchange, done.retries).ok(),
+                Err(failed) => {
+                    node.meet_abort(failed.retries);
+                    None
+                }
+            };
+        }
+    });
+    outcomes
 }
 
 /// Choose a meeting partner: synopsis-guided when pre-meetings data is
@@ -832,7 +804,6 @@ mod tests {
             },
             stall: Some(StallPlan {
                 node_index: 1,
-                at_meeting: 0,
                 count: 2,
             }),
             ..ClusterConfig::default()
@@ -936,33 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_endpoint_sweep_mirrors_per_node_counters() {
-        let (frags, n_total) = ring_fragments(4);
-        let config = ClusterConfig {
-            meetings: 16,
-            seed: 13,
-            stats_endpoint: true,
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster(frags, n_total, JxpConfig::default(), &config, None);
-        let wire = report.wire_stats.as_ref().expect("stats endpoint enabled");
-        assert_eq!(wire.len(), report.per_node.len());
-        for (j, payload) in wire.iter().enumerate() {
-            assert_eq!(payload.node_id, j as u64);
-            // Meeting counters are untouched by the stats sweep itself.
-            let stats = &report.per_node[j];
-            assert_eq!(payload.meetings_attempted, stats.meetings_attempted);
-            assert_eq!(payload.meetings_completed, stats.meetings_completed);
-            assert_eq!(payload.meetings_served, stats.meetings_served);
-            assert_eq!(payload.retries, stats.retries);
-        }
-        // The very first fetch (node 0) precedes all stats traffic, so
-        // even its byte counters mirror the snapshot exactly.
-        assert_eq!(wire[0].bytes_in, report.per_node[0].bytes_in);
-        assert_eq!(wire[0].bytes_out, report.per_node[0].bytes_out);
-    }
-
-    #[test]
     fn telemetry_does_not_perturb_results() {
         let (frags, n_total) = ring_fragments(4);
         let truth = vec![1.0 / 12.0; 12];
@@ -971,7 +915,6 @@ mod tests {
                 meetings: 24,
                 seed: 11,
                 telemetry,
-                stats_endpoint: telemetry,
                 ..ClusterConfig::default()
             };
             run_cluster(
@@ -1090,18 +1033,18 @@ mod tests {
             "loopback".parse::<TransportKind>(),
             Ok(TransportKind::Loopback)
         );
-        assert_eq!("tcp".parse::<TransportKind>(), Ok(TransportKind::Tcp));
-        assert_eq!("threads".parse::<TransportKind>(), Ok(TransportKind::Tcp));
         assert_eq!(
             "reactor".parse::<TransportKind>(),
             Ok(TransportKind::Reactor)
         );
-        let err = "bogus".parse::<TransportKind>().unwrap_err();
-        assert!(err.contains("loopback|tcp|threads|reactor"), "{err}");
+        for retired in ["tcp", "threads", "bogus"] {
+            let err = retired.parse::<TransportKind>().unwrap_err();
+            assert!(err.contains("loopback|reactor"), "{err}");
+        }
     }
 
     #[test]
-    fn reactor_transport_matches_loopback_and_tcp_bit_for_bit() {
+    fn reactor_transport_matches_loopback_bit_for_bit() {
         let (frags, n_total) = ring_fragments(4);
         let run = |transport: TransportKind, threads: usize| {
             let config = ClusterConfig {
@@ -1117,8 +1060,6 @@ mod tests {
         let want = run(TransportKind::Loopback, 1);
         assert_eq!(want.meetings_completed, 24);
         assert_eq!(want.inflight_peak, None, "no gauge off the reactor");
-        let tcp = run(TransportKind::Tcp, 8);
-        assert_eq!(tcp.score_hash, want.score_hash);
         for threads in [1usize, 2, 8] {
             let got = run(TransportKind::Reactor, threads);
             assert_eq!(got.score_hash, want.score_hash, "{threads} threads");
@@ -1148,7 +1089,6 @@ mod tests {
             },
             stall: Some(StallPlan {
                 node_index: 1,
-                at_meeting: 0,
                 count: 2,
             }),
             ..ClusterConfig::default()
@@ -1162,7 +1102,46 @@ mod tests {
     }
 
     #[test]
-    fn reactor_premeet_sweep_holds_many_probes_in_flight() {
+    fn stalled_runs_land_the_unstalled_hash_at_every_thread_count() {
+        let (frags, n_total) = ring_fragments(4);
+        let run = |transport: TransportKind, threads: usize, stall: Option<StallPlan>| {
+            let config = ClusterConfig {
+                meetings: 24,
+                seed: 11,
+                transport,
+                threads,
+                retry: RetryPolicy {
+                    max_attempts: 4,
+                    base_delay: std::time::Duration::from_millis(1),
+                    max_delay: std::time::Duration::from_millis(2),
+                },
+                stall,
+                ..ClusterConfig::default()
+            };
+            run_cluster(frags.clone(), n_total, JxpConfig::default(), &config, None)
+        };
+        let want = run(TransportKind::Loopback, 1, None);
+        assert_eq!(want.retries, 0);
+        // Fewer swallowed requests than attempts: the first meeting that
+        // targets node 1 absorbs every stall through retries, and the
+        // rest of the run is untouched.
+        let stall = StallPlan {
+            node_index: 1,
+            count: 2,
+        };
+        for transport in [TransportKind::Loopback, TransportKind::Reactor] {
+            for threads in [1usize, 2, 8] {
+                let got = run(transport, threads, Some(stall));
+                let at = format!("{transport:?} at {threads} threads");
+                assert_eq!(got.score_hash, want.score_hash, "{at}");
+                assert_eq!(got.meetings_completed, 24, "{at}");
+                assert_eq!(got.retries, 2, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn premeet_sweep_holds_many_probes_in_flight_on_the_reactor() {
         use std::io::{Read as _, Write as _};
         // 12 nodes -> 132 ordered pairs: the sweep's initial window
         // fill outpaces the loop thread's connect handshakes by orders

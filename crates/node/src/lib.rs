@@ -2,14 +2,18 @@
 //!
 //! Where `jxp-p2pnet` simulates a peer network by calling peers' methods
 //! directly, this crate runs the meeting protocol **over a wire**: every
-//! request and reply is a [`jxp_wire`] frame, moved by a pluggable
-//! [`transport::Transport`] — a deterministic in-memory loopback or
-//! localhost TCP. A [`node::JxpNode`] owns a `JxpPeer`, answers inbound
-//! frames (meetings, synopsis probes, hellos), and initiates exchanges
-//! under configurable timeout + bounded exponential-backoff retry, with
-//! per-node counters for meetings, retries, and measured wire bytes.
-//! [`cluster::run_cluster`] drives N nodes through M meetings and
-//! reports convergence and traffic; it backs the `jxp cluster` command.
+//! request and reply is a [`jxp_wire`] frame, moved by a
+//! [`transport::Transport`] — the deterministic in-memory loopback, or
+//! the multiplexed socket reactor ([`reactor`]). A [`node::JxpNode`]
+//! owns a `JxpPeer`, answers inbound frames (meetings, synopsis probes,
+//! hellos), and initiates exchanges under configurable timeout +
+//! bounded exponential-backoff retry, with per-node counters for
+//! meetings, retries, and measured wire bytes; the counters are read
+//! through `jxp-telemetry` (`/metrics`, `--metrics-out`).
+//! [`cluster::run_cluster`] drives N nodes through M meetings — one
+//! round executor over [`transport::Transport::submit`] for every
+//! transport — and reports convergence and traffic; it backs the
+//! `jxp cluster` command.
 
 #![deny(missing_docs)]
 
@@ -18,7 +22,6 @@ pub mod loopback;
 pub mod node;
 pub mod persist;
 pub mod reactor;
-pub mod tcp;
 pub mod transport;
 
 pub use cluster::{
@@ -28,9 +31,8 @@ pub use cluster::{
 pub use loopback::{Fault, LoopbackNetwork};
 pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 pub use persist::{NodePersist, PersistConfig, SharedStore};
-pub use reactor::{reactor_premeet_sweep, run_reactor_round, HandlerService, ReactorTransport};
-pub use tcp::{TcpConfig, TcpServer, TcpTransport};
+pub use reactor::{serve_on_reactor, ReactorTransport};
 pub use transport::{
     request_with_retry, Exchange, FrameHandler, NodeId, RetryError, RetryPolicy, StallInjector,
-    Transport, TransportError,
+    Submission, Transport, TransportError,
 };

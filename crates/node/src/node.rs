@@ -20,8 +20,8 @@ use jxp_core::peer::JxpPeer;
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_synopses::mips::MipsPermutations;
 use jxp_telemetry::{Counter, Registry};
-use jxp_wire::{encoded_len, ErrorCode, Frame, StatsPayload, SynopsisPayload};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use jxp_wire::{encoded_len, ErrorCode, Frame, SynopsisPayload};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-node traffic and meeting counters (point-in-time snapshot of a
@@ -129,7 +129,6 @@ pub struct JxpNode {
     id: NodeId,
     state: Arc<Mutex<NodeState>>,
     metrics: NodeMetrics,
-    stats_endpoint: AtomicBool,
     /// Bumped every time a meeting (initiated, served, or repaired)
     /// changes the peer's scores. Serving layers key result caches on
     /// this: an advanced epoch means cached fused rankings are stale.
@@ -160,7 +159,6 @@ impl JxpNode {
                 persist: None,
             })),
             metrics,
-            stats_endpoint: AtomicBool::new(false),
             score_epoch: AtomicU64::new(0),
         }
     }
@@ -212,19 +210,6 @@ impl JxpNode {
         &self.metrics
     }
 
-    /// Start answering [`Frame::StatsRequest`] with this node's counters
-    /// (off by default; disabled nodes reply `Error`/`Refused`).
-    pub fn enable_stats_endpoint(&self) {
-        // Release/Acquire so a server thread that observes `true` also
-        // observes everything the enabling thread wrote before the flip.
-        self.stats_endpoint.store(true, Ordering::Release);
-    }
-
-    /// Whether the stats endpoint is enabled.
-    pub fn stats_endpoint_enabled(&self) -> bool {
-        self.stats_endpoint.load(Ordering::Acquire)
-    }
-
     /// The current score epoch: how many absorbed meetings (initiated,
     /// served, or repaired) have changed this peer's scores.
     pub fn score_epoch(&self) -> u64 {
@@ -236,21 +221,6 @@ impl JxpNode {
     /// update published by the lock release that follows.
     fn bump_score_epoch(&self) {
         self.score_epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// This node's counters as a wire payload.
-    pub fn stats_payload(&self) -> StatsPayload {
-        let s = self.stats();
-        StatsPayload {
-            node_id: self.id,
-            meetings_attempted: s.meetings_attempted,
-            meetings_completed: s.meetings_completed,
-            meetings_failed: s.meetings_failed,
-            meetings_served: s.meetings_served,
-            retries: s.retries,
-            bytes_in: s.bytes_in,
-            bytes_out: s.bytes_out,
-        }
     }
 
     /// Copy of this node's own synopses.
@@ -325,9 +295,11 @@ impl JxpNode {
         Frame::MeetRequest(self.lock().peer.payload())
     }
 
-    /// Second half of [`JxpNode::meet`]: decode the reply, absorb it
-    /// (journaling the delta), and settle the success counters.
-    /// `retries` is how many times the transport resubmitted.
+    /// Second half of [`JxpNode::meet`]: decode the reply, validate and
+    /// absorb it (journaling the delta), and settle the success counters.
+    /// `retries` is how many times the transport resubmitted. A reply
+    /// that fails validation counts as a failed meeting and leaves the
+    /// peer, its score epoch and its journal untouched.
     pub fn meet_finish(
         &self,
         exchange: Exchange,
@@ -349,7 +321,12 @@ impl JxpNode {
         {
             let mut state = self.lock();
             let NodeState { peer, persist, .. } = &mut *state;
-            peer.absorb(&remote);
+            if let Err(why) = peer.try_absorb(&remote) {
+                self.metrics.meetings_failed.inc();
+                return Err(TransportError::Rejected(format!(
+                    "invalid MeetReply: {why}"
+                )));
+            }
             if let Some(p) = persist.as_mut() {
                 p.record_absorb(peer, &remote);
             }
@@ -412,26 +389,6 @@ impl JxpNode {
         Ok(remote)
     }
 
-    /// Ask `target` for its counter snapshot over the wire. Fails with
-    /// [`TransportError::Rejected`] if its stats endpoint is disabled.
-    pub fn fetch_stats(
-        &self,
-        target: NodeId,
-        transport: &dyn Transport,
-        policy: &RetryPolicy,
-    ) -> Result<StatsPayload, TransportError> {
-        let outcome = request_with_retry(transport, target, &Frame::StatsRequest, policy)?;
-        self.metrics.bytes_out.add(outcome.exchange.bytes_sent);
-        self.metrics.bytes_in.add(outcome.exchange.bytes_received);
-        match outcome.exchange.reply {
-            Frame::StatsReply(payload) => Ok(payload),
-            Frame::Error { detail, .. } => Err(TransportError::Rejected(detail)),
-            other => Err(TransportError::Wire(jxp_wire::WireError::Malformed(
-                unexpected_reply(&other),
-            ))),
-        }
-    }
-
     /// Score a candidate partner from its synopses: the estimated
     /// containment of the candidate's out-link targets in our local
     /// fragment (paper §6 — peers that link into us teach us the most).
@@ -470,8 +427,6 @@ fn unexpected_reply(frame: &Frame) -> &'static str {
         Frame::SynopsisExchange(_) => "unexpected SynopsisExchange reply",
         Frame::Ack { .. } => "unexpected Ack reply",
         Frame::Error { .. } => "unexpected Error reply",
-        Frame::StatsRequest => "unexpected StatsRequest reply",
-        Frame::StatsReply(_) => "unexpected StatsReply reply",
         Frame::QueryRequest(_) => "unexpected QueryRequest reply",
         Frame::QueryReply(_) => "unexpected QueryReply reply",
     }
@@ -520,18 +475,6 @@ impl FrameHandler for JxpNode {
                     bloom: None,
                 })
             }
-            // Built before this frame's own bytes are counted, so the
-            // reported counters describe the pre-request state.
-            Frame::StatsRequest => {
-                if self.stats_endpoint_enabled() {
-                    Frame::StatsReply(self.stats_payload())
-                } else {
-                    Frame::Error {
-                        code: ErrorCode::Refused,
-                        detail: "stats endpoint disabled".to_string(),
-                    }
-                }
-            }
             Frame::Ack { of } => Frame::Ack { of },
             // A bare node has no index to search; the serve layer
             // (jxp-serve) intercepts queries before delegation.
@@ -539,10 +482,7 @@ impl FrameHandler for JxpNode {
                 code: ErrorCode::Refused,
                 detail: "query endpoint disabled".to_string(),
             },
-            Frame::MeetReply(_)
-            | Frame::Error { .. }
-            | Frame::StatsReply(_)
-            | Frame::QueryReply(_) => Frame::Error {
+            Frame::MeetReply(_) | Frame::Error { .. } | Frame::QueryReply(_) => Frame::Error {
                 code: ErrorCode::BadRequest,
                 detail: "frame type is reply-only".to_string(),
             },
@@ -705,10 +645,6 @@ mod tests {
         );
         let reply = a.handle(Frame::MeetReply(a.current_payload())).unwrap();
         assert!(matches!(reply, Frame::Error { .. }));
-        let reply = a
-            .handle(Frame::StatsReply(StatsPayload::default()))
-            .unwrap();
-        assert!(matches!(reply, Frame::Error { .. }));
     }
 
     #[test]
@@ -735,7 +671,6 @@ mod tests {
             node_id: 9,
             num_pages: 1,
         });
-        a.handle(Frame::StatsRequest);
         assert_eq!(a.score_epoch(), 2);
     }
 
@@ -781,29 +716,60 @@ mod tests {
     }
 
     #[test]
-    fn stats_endpoint_is_opt_in_and_reports_pre_request_counters() {
+    fn invalid_meet_reply_fails_the_meeting_and_changes_nothing() {
+        /// Answers every meeting with a tampered copy of a real payload.
+        struct Hostile(MeetingPayload);
+        impl FrameHandler for Hostile {
+            fn handle(&self, _frame: Frame) -> Option<Frame> {
+                Some(Frame::MeetReply(self.0.clone()))
+            }
+        }
+
         let (a, b) = two_fragment_nodes();
-        let net = LoopbackNetwork::new();
-        let b = Arc::new(b);
-        net.register(2, Arc::clone(&b) as Arc<dyn FrameHandler>);
-
-        // Disabled by default: the request is refused (and refusal is
-        // fatal — no retries charged on the client side either).
-        assert!(matches!(
-            a.fetch_stats(2, &net, &RetryPolicy::default()),
-            Err(TransportError::Rejected(_))
+        let store = Arc::new(jxp_store::MemStore::new());
+        a.attach_persistence(NodePersist::new(
+            Arc::clone(&store) as crate::persist::SharedStore,
+            "node-1",
+            crate::persist::PersistConfig::default(),
+            jxp_store::StoreMetrics::detached(),
+            0,
         ));
+        let honest = b.current_payload();
+        let mut nan = honest.clone();
+        nan.pages[0].score = f64::NAN;
+        let mut heavy = honest.clone();
+        for page in &mut heavy.pages {
+            page.score = 0.9;
+        }
 
-        b.enable_stats_endpoint();
+        let scores_before = a.with_peer(|p| p.scores().to_vec());
+        for (k, forged) in [nan, heavy].into_iter().enumerate() {
+            let net = LoopbackNetwork::new();
+            net.register(2, Arc::new(Hostile(forged)));
+            let err = a.meet(2, &net, &RetryPolicy::default()).unwrap_err();
+            assert!(matches!(err, TransportError::Rejected(_)), "{err}");
+            let s = a.stats();
+            assert_eq!(s.meetings_attempted, k as u64 + 1);
+            assert_eq!(s.meetings_failed, k as u64 + 1);
+            assert_eq!(s.meetings_completed, 0);
+        }
+        assert_eq!(a.score_epoch(), 0, "a rejected reply bumped the epoch");
+        assert_eq!(
+            a.with_peer(|p| p.scores().to_vec()),
+            scores_before,
+            "a rejected reply changed the scores"
+        );
+        assert!(
+            store.raw_wal("node-1").is_empty(),
+            "a rejected reply was journaled"
+        );
+
+        // The honest payload passes unchanged and is journaled.
+        let net = LoopbackNetwork::new();
+        net.register(2, Arc::new(Hostile(honest)));
         a.meet(2, &net, &RetryPolicy::default()).unwrap();
-        let before = b.stats();
-        let payload = a.fetch_stats(2, &net, &RetryPolicy::default()).unwrap();
-        assert_eq!(payload.node_id, 2);
-        assert_eq!(payload.meetings_served, before.meetings_served);
-        // The reply was built before its own frame's bytes were counted,
-        // so the payload matches the pre-request snapshot exactly.
-        assert_eq!(payload.bytes_in, before.bytes_in);
-        assert_eq!(payload.bytes_out, before.bytes_out);
+        assert_eq!(a.score_epoch(), 1);
+        assert!(!store.raw_wal("node-1").is_empty());
     }
 
     #[test]

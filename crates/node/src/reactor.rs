@@ -1,57 +1,33 @@
 //! Reactor-backed transport: hundreds of in-flight meetings per node
 //! over one multiplexed connection per peer, driven by a single thread.
 //!
-//! [`ReactorTransport`] is the [`Transport`] facade (blocking
-//! request/reply, drop-in for loopback and threaded TCP). The batch
-//! entry points are where the reactor pays off:
-//!
-//! - [`run_reactor_round`] submits a whole node-disjoint meeting round
-//!   and harvests it in schedule order, using the split
-//!   [`JxpNode::meet_begin`]/[`JxpNode::meet_finish`] halves so the
-//!   counter trace matches the blocking path exactly. Pair-disjointness
-//!   makes the submit-all-then-harvest reordering invisible: no node in
-//!   a round touches another pair's state, so every payload equals what
-//!   serial execution would have built.
-//! - [`reactor_premeet_sweep`] runs the all-pairs synopsis exchange
-//!   under a sliding submission window, holding `window` probes in
-//!   flight. Synopses are immutable before meetings start, so results
-//!   are identical to the serial sweep no matter the concurrency — and
-//!   the in-flight gauge provably reaches `min(window, pairs)`.
+//! [`ReactorTransport`] overrides [`Transport::submit`] with the
+//! reactor's non-blocking ticket, so the cluster's round executor and
+//! pre-meetings sweep (which submit first and harvest later) keep many
+//! exchanges in flight through the same code that runs them inline on
+//! loopback. [`serve_on_reactor`] is the one way a node set is brought
+//! up on sockets: the cluster driver and `jxp node` both use it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-use jxp_core::selection::PeerSynopses;
-use jxp_reactor::{FrameService, ReactorError, ReactorHandle, Ticket};
-use jxp_telemetry::lock_unpoisoned;
+use jxp_reactor::{FrameService, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics};
+use jxp_telemetry::{lock_unpoisoned, Registry};
 use jxp_wire::Frame;
 
-use crate::node::{JxpNode, MeetOutcome};
-use crate::transport::{
-    Exchange, FrameHandler, NodeId, RetriedExchange, RetryError, RetryPolicy, Transport,
-    TransportError,
-};
+use crate::transport::{Exchange, FrameHandler, NodeId, Submission, Transport, TransportError};
 
 /// Adapt a node-side [`FrameHandler`] (a `JxpNode` or an injector
 /// wrapping one) to the reactor's serve interface. `handle` runs inline
 /// on the loop thread, which is what preserves journal-before-reply:
 /// the Serve WAL record is written inside `handle` before the reply
 /// frame is queued on the socket.
-pub struct HandlerService(pub Arc<dyn FrameHandler>);
+struct HandlerService(Arc<dyn FrameHandler>);
 
 impl FrameService for HandlerService {
     fn serve(&self, frame: Frame) -> Option<Frame> {
         self.0.handle(frame)
-    }
-}
-
-fn map_err(e: ReactorError) -> TransportError {
-    match e {
-        ReactorError::Unreachable(detail) => TransportError::Unreachable(detail),
-        ReactorError::Timeout => TransportError::Timeout,
-        ReactorError::Wire(w) => TransportError::Wire(w),
-        ReactorError::Closed => TransportError::Unreachable("reactor shut down".to_string()),
     }
 }
 
@@ -68,8 +44,7 @@ struct ReactorTransportInner {
 }
 
 impl ReactorTransport {
-    /// Wrap a running reactor's handle.
-    pub fn new(handle: ReactorHandle) -> ReactorTransport {
+    fn new(handle: ReactorHandle) -> ReactorTransport {
         ReactorTransport {
             inner: Arc::new(ReactorTransportInner {
                 handle,
@@ -78,186 +53,82 @@ impl ReactorTransport {
         }
     }
 
-    /// Map `id` to the address of its reactor listener.
-    pub fn add_route(&self, id: NodeId, addr: SocketAddr) {
+    fn add_route(&self, id: NodeId, addr: SocketAddr) {
         lock_unpoisoned(&self.inner.routes).insert(id, addr);
     }
 
-    fn route(&self, peer: NodeId) -> Result<SocketAddr, TransportError> {
-        lock_unpoisoned(&self.inner.routes)
-            .get(&peer)
-            .copied()
-            .ok_or_else(|| TransportError::Unreachable(format!("no route to node {peer}")))
-    }
-
-    /// Queue a request without blocking; redeem the ticket later. This
-    /// is what lets one driver thread hold hundreds of meetings open.
-    pub fn submit(&self, peer: NodeId, frame: &Frame) -> Result<Ticket, TransportError> {
-        let addr = self.route(peer)?;
-        Ok(self.inner.handle.submit(addr, frame))
+    /// The listener address `id` is routed to, if any.
+    pub fn route(&self, id: NodeId) -> Option<SocketAddr> {
+        lock_unpoisoned(&self.inner.routes).get(&id).copied()
     }
 }
 
 impl Transport for ReactorTransport {
     fn request(&self, peer: NodeId, frame: &Frame) -> Result<Exchange, TransportError> {
-        let addr = self.route(peer)?;
-        let (reply, bytes_sent, bytes_received) =
-            self.inner.handle.request(addr, frame).map_err(map_err)?;
-        Ok(Exchange {
-            reply,
-            bytes_sent,
-            bytes_received,
-        })
+        self.submit(peer, frame).wait()
     }
-}
 
-/// [`crate::transport::request_with_retry`] over a pre-submitted
-/// ticket: identical attempt counting, backoff schedule, and error
-/// selection, with each retry resubmitted through the reactor.
-fn wait_with_retry(
-    transport: &ReactorTransport,
-    peer: NodeId,
-    frame: &Frame,
-    policy: &RetryPolicy,
-    first: Ticket,
-) -> Result<RetriedExchange, RetryError> {
-    let attempts = policy.max_attempts.max(1);
-    let mut ticket = Some(first);
-    let mut last = None;
-    for attempt in 0..attempts {
-        let pending = match ticket.take() {
-            Some(t) => t,
-            None => {
-                std::thread::sleep(policy.backoff(attempt - 1));
-                match transport.submit(peer, frame) {
-                    Ok(t) => t,
-                    Err(error) => {
-                        return Err(RetryError {
-                            error,
-                            retries: attempt,
-                        })
-                    }
-                }
-            }
-        };
-        match pending.wait_full() {
-            Ok((reply, bytes_sent, bytes_received)) => {
-                return Ok(RetriedExchange {
-                    exchange: Exchange {
-                        reply,
-                        bytes_sent,
-                        bytes_received,
-                    },
-                    retries: attempt,
-                })
-            }
-            Err(e) => {
-                last = Some(RetryError {
-                    error: map_err(e),
-                    retries: attempt,
-                });
-            }
+    fn submit(&self, peer: NodeId, frame: &Frame) -> Submission {
+        match self.route(peer) {
+            Some(addr) => Submission::Queued(self.inner.handle.submit(addr, frame)),
+            None => Submission::Done(Err(TransportError::Unreachable(format!(
+                "no route to node {peer}"
+            )))),
         }
     }
-    Err(last.expect("at least one attempt"))
 }
 
-/// Execute one node-disjoint meeting round through the reactor: submit
-/// every request up front, then harvest in schedule order.
+/// Start a reactor with a listener per handler, routing node id `i` to
+/// `handlers[i]`; its gauges register in `registry` when one is given.
+/// The returned [`Reactor`] owns the loop thread: keep it alive for as
+/// long as the transport is used.
 ///
-/// Each `(initiator_index, target, slot)` triple mirrors the pool
-/// path's task shape; `slot` receives `Some(outcome)` exactly when
-/// `nodes[initiator].meet(..)` would have returned `Ok`.
-pub fn run_reactor_round(
-    transport: &ReactorTransport,
-    nodes: &[Arc<JxpNode>],
-    retry: &RetryPolicy,
-    round: Vec<(usize, NodeId, &mut Option<MeetOutcome>)>,
-) {
-    let mut inflight = Vec::with_capacity(round.len());
-    for (initiator, target, slot) in round {
-        // Disjoint pairs: no other meeting in this round can touch this
-        // initiator, so the payload equals what serial execution builds.
-        let request = nodes[initiator].meet_begin();
-        let ticket = transport.submit(target, &request);
-        inflight.push((initiator, target, slot, request, ticket));
+/// # Errors
+/// Fails if a localhost listener cannot be bound.
+pub fn serve_on_reactor(
+    handlers: &[Arc<dyn FrameHandler>],
+    registry: Option<&Registry>,
+) -> std::io::Result<(Reactor, ReactorTransport)> {
+    let metrics = registry.map_or_else(ReactorMetrics::detached, ReactorMetrics::registered);
+    let reactor = Reactor::start(ReactorConfig::default(), metrics);
+    let transport = ReactorTransport::new(reactor.handle());
+    for (i, handler) in handlers.iter().enumerate() {
+        let addr = reactor
+            .handle()
+            .listen(Arc::new(HandlerService(Arc::clone(handler))))?;
+        transport.add_route(i as NodeId, addr);
     }
-    for (initiator, target, slot, request, ticket) in inflight {
-        let node = &nodes[initiator];
-        *slot = match ticket {
-            Ok(t) => match wait_with_retry(transport, target, &request, retry, t) {
-                Ok(done) => node.meet_finish(done.exchange, done.retries).ok(),
-                Err(failed) => {
-                    node.meet_abort(failed.retries);
-                    None
-                }
-            },
-            Err(_unroutable) => {
-                node.meet_abort(0);
-                None
-            }
-        };
-    }
+    Ok((reactor, transport))
 }
 
-/// The all-pairs pre-meetings synopsis sweep, multiplexed: submit
-/// probes in `(i, j)` order under a sliding window of `window` in
-/// flight, harvest in the same order. Returns per-node candidate lists
-/// shaped exactly like the serial sweep's.
-///
-/// Determinism: synopses are computed at join and do not change until
-/// the first meeting, so every probe's request and reply are
-/// independent of scheduling; collecting in `(i, j)` order makes the
-/// output byte-identical to the serial path.
-pub fn reactor_premeet_sweep(
-    transport: &ReactorTransport,
-    nodes: &[Arc<JxpNode>],
-    retry: &RetryPolicy,
-    window: usize,
-) -> Vec<Vec<(NodeId, PeerSynopses)>> {
-    let n = nodes.len();
-    let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)));
-    for (i, node) in nodes.iter().enumerate() {
-        for other in nodes.iter() {
-            if other.id() != node.id() {
-                pairs.push((i, other.id()));
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jxp_wire::encoded_len;
+
+    struct Echo;
+
+    impl FrameHandler for Echo {
+        fn handle(&self, frame: Frame) -> Option<Frame> {
+            Some(frame)
         }
     }
 
-    let window = window.max(1);
-    let mut results: Vec<Vec<(NodeId, PeerSynopses)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut queue: VecDeque<(usize, NodeId, Frame, Result<Ticket, TransportError>)> =
-        VecDeque::new();
-    let mut next = 0usize;
-
-    let submit_pair = |pair: (usize, NodeId)| {
-        let (i, j) = pair;
-        let request = nodes[i].synopses_request();
-        let ticket = transport.submit(j, &request);
-        (i, j, request, ticket)
-    };
-
-    while next < pairs.len() && queue.len() < window {
-        queue.push_back(submit_pair(pairs[next]));
-        next += 1;
-    }
-    while let Some((i, j, request, ticket)) = queue.pop_front() {
-        // Refill before waiting so the window stays full while the
-        // front probe resolves.
-        if next < pairs.len() {
-            queue.push_back(submit_pair(pairs[next]));
-            next += 1;
-        }
-        let outcome = match ticket {
-            Ok(t) => wait_with_retry(transport, j, &request, retry, t)
-                .map_err(|failed| failed.error)
-                .and_then(|done| nodes[i].synopses_accept(done.exchange)),
-            Err(e) => Err(e),
+    #[test]
+    fn submit_reports_exact_codec_bytes_and_unrouted_peers_are_unreachable() {
+        let (_reactor, transport) =
+            serve_on_reactor(&[Arc::new(Echo) as Arc<dyn FrameHandler>], None).unwrap();
+        let frame = Frame::Hello {
+            node_id: 1,
+            num_pages: 42,
         };
-        if let Ok(synopses) = outcome {
-            results[i].push((j, synopses));
-        }
+        let exchange = transport.submit(0, &frame).wait().unwrap();
+        assert_eq!(exchange.reply, frame);
+        assert_eq!(exchange.bytes_sent, encoded_len(&frame) as u64);
+        assert_eq!(exchange.bytes_received, encoded_len(&frame) as u64);
+        assert!(matches!(
+            transport.request(7, &frame),
+            Err(TransportError::Unreachable(_))
+        ));
     }
-    results
 }

@@ -1,13 +1,18 @@
 //! Transport abstraction: how one node's frames reach another node.
 //!
-//! A transport is *synchronous request/response*: the JXP meeting protocol
-//! is strictly client-driven (the initiator sends a frame, the responder
+//! A transport is *request/response*: the JXP meeting protocol is
+//! strictly client-driven (the initiator sends a frame, the responder
 //! answers with exactly one frame), so the whole exchange maps onto one
-//! `request` call. Two implementations exist: a deterministic in-memory
-//! loopback ([`crate::loopback`]) and localhost TCP ([`crate::tcp`]).
-//! Both move **real encoded frames** through [`jxp_wire`], so the byte
-//! counts they report are measured codec output, not estimates.
+//! `request` call. [`Transport::submit`] splits that call in two — queue
+//! now, [`Submission::wait`] later — so one thread can hold many
+//! exchanges open; its default completes the exchange inline. Two
+//! implementations exist: a deterministic in-memory loopback
+//! ([`crate::loopback`]) and the multiplexed socket reactor
+//! ([`crate::reactor`]). Both move **real encoded frames** through
+//! [`jxp_wire`], so the byte counts they report are measured codec
+//! output, not estimates.
 
+use jxp_reactor::{ReactorError, Ticket};
 use jxp_wire::{Frame, WireError};
 use std::time::Duration;
 
@@ -37,8 +42,9 @@ pub enum TransportError {
     /// The bytes that arrived do not decode (version mismatch, truncated
     /// or corrupt frame).
     Wire(WireError),
-    /// The peer replied with a protocol [`Frame::Error`]. Retrying will
-    /// not help, so the retry loop stops on this immediately.
+    /// The peer replied with a protocol [`Frame::Error`], or with a
+    /// payload that fails validation. Retrying will not help, so the
+    /// retry loop stops on this immediately.
     Rejected(String),
 }
 
@@ -61,17 +67,61 @@ impl From<WireError> for TransportError {
     }
 }
 
-/// Send one frame to `peer` and wait for the single reply frame.
+impl From<ReactorError> for TransportError {
+    fn from(e: ReactorError) -> Self {
+        match e {
+            ReactorError::Unreachable(detail) => TransportError::Unreachable(detail),
+            ReactorError::Timeout => TransportError::Timeout,
+            ReactorError::Wire(w) => TransportError::Wire(w),
+            ReactorError::Closed => TransportError::Unreachable("reactor shut down".to_string()),
+        }
+    }
+}
+
+/// An exchange handed to [`Transport::submit`], redeemed with
+/// [`Submission::wait`].
+pub enum Submission {
+    /// Already resolved: the transport ran the exchange inline.
+    Done(Result<Exchange, TransportError>),
+    /// Queued on a reactor; resolves when the reply arrives.
+    Queued(Ticket),
+}
+
+impl Submission {
+    /// Block until the exchange resolves.
+    pub fn wait(self) -> Result<Exchange, TransportError> {
+        match self {
+            Submission::Done(result) => result,
+            Submission::Queued(ticket) => {
+                let (reply, bytes_sent, bytes_received) = ticket.wait_full()?;
+                Ok(Exchange {
+                    reply,
+                    bytes_sent,
+                    bytes_received,
+                })
+            }
+        }
+    }
+}
+
+/// Send one frame to `peer` and get the single reply frame back.
 pub trait Transport: Send + Sync {
-    /// Perform one request/response exchange.
+    /// Perform one request/response exchange, blocking until it resolves.
     fn request(&self, peer: NodeId, frame: &Frame) -> Result<Exchange, TransportError>;
+
+    /// Start an exchange without waiting for its reply. The default
+    /// runs [`Transport::request`] inline; a multiplexed transport
+    /// queues the frame and returns at once.
+    fn submit(&self, peer: NodeId, frame: &Frame) -> Submission {
+        Submission::Done(self.request(peer, frame))
+    }
 }
 
 /// Server side of a transport: turns one inbound frame into one reply.
 ///
 /// Returning `None` models a stalled responder — the transport surfaces
 /// it to the initiator as a [`TransportError::Timeout`] (loopback) or a
-/// dropped connection (TCP), exercising the retry path.
+/// dropped connection (reactor), exercising the retry path.
 pub trait FrameHandler: Send + Sync {
     /// Handle one decoded inbound frame.
     fn handle(&self, frame: Frame) -> Option<Frame>;
@@ -196,32 +246,50 @@ pub fn request_with_retry(
     frame: &Frame,
     policy: &RetryPolicy,
 ) -> Result<RetriedExchange, RetryError> {
+    retry_submitted(
+        transport,
+        peer,
+        frame,
+        policy,
+        transport.submit(peer, frame),
+    )
+}
+
+/// [`request_with_retry`] whose first attempt was already submitted:
+/// wait for `first`, then resubmit `frame` after each backoff until an
+/// attempt succeeds, fails fatally ([`TransportError::Rejected`]), or
+/// the policy's attempts run out.
+pub(crate) fn retry_submitted(
+    transport: &dyn Transport,
+    peer: NodeId,
+    frame: &Frame,
+    policy: &RetryPolicy,
+    first: Submission,
+) -> Result<RetriedExchange, RetryError> {
     let attempts = policy.max_attempts.max(1);
-    let mut last = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1));
-        }
-        match transport.request(peer, frame) {
+    let mut submission = first;
+    let mut attempt = 0;
+    loop {
+        match submission.wait() {
             Ok(exchange) => {
                 return Ok(RetriedExchange {
                     exchange,
                     retries: attempt,
                 })
             }
-            Err(e) => {
-                let fatal = matches!(e, TransportError::Rejected(_));
-                last = Some(RetryError {
-                    error: e,
-                    retries: attempt,
-                });
-                if fatal {
-                    break;
+            Err(error) => {
+                if attempt + 1 >= attempts || matches!(error, TransportError::Rejected(_)) {
+                    return Err(RetryError {
+                        error,
+                        retries: attempt,
+                    });
                 }
             }
         }
+        std::thread::sleep(policy.backoff(attempt));
+        attempt += 1;
+        submission = transport.submit(peer, frame);
     }
-    Err(last.expect("at least one attempt"))
 }
 
 #[cfg(test)]

@@ -145,7 +145,6 @@ mod tests {
                 num_pages: 40,
             },
             Frame::Ack { of: 5 },
-            Frame::StatsRequest,
             Frame::Error {
                 code: ErrorCode::Busy,
                 detail: "later".to_string(),
@@ -228,6 +227,29 @@ mod tests {
         head.push(0xff); // flags must be zero
         acc.feed(&head);
         assert!(matches!(acc.next_frame(), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn retired_stats_types_are_rejected_by_both_decoders() {
+        for ty in [7u8, 8] {
+            let mut head = Vec::from(MAGIC);
+            head.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+            head.push(ty);
+            head.push(0);
+            head.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(
+                decode_frame(&head),
+                Err(WireError::UnknownFrameType(ty)),
+                "decode_frame, type {ty}"
+            );
+            let mut acc = FrameAccumulator::new();
+            acc.feed(&head);
+            assert_eq!(
+                acc.next_frame(),
+                Err(WireError::UnknownFrameType(ty)),
+                "accumulator, type {ty}"
+            );
+        }
     }
 
     #[test]

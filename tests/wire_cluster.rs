@@ -1,12 +1,13 @@
 //! End-to-end tests of the networked runtime: clusters of `jxp-node`
-//! peers meeting over the real `jxp-wire` codec on both transports,
-//! with fault injection, exact byte accounting, and convergence checks.
+//! peers meeting over the real `jxp-wire` codec on loopback and on the
+//! socket reactor, with fault injection, exact byte accounting, and
+//! convergence checks.
 
 use jxp_core::config::JxpConfig;
 use jxp_core::peer::JxpPeer;
 use jxp_node::{
-    run_cluster, ClusterConfig, FrameHandler, JxpNode, LoopbackNetwork, RetryPolicy, StallPlan,
-    TcpConfig, TcpServer, TcpTransport, TransportKind,
+    run_cluster, serve_on_reactor, ClusterConfig, FrameHandler, JxpNode, LoopbackNetwork,
+    RetryPolicy, StallPlan, TransportKind,
 };
 use jxp_pagerank::{pagerank, PageRankConfig};
 use jxp_synopses::mips::MipsPermutations;
@@ -100,16 +101,15 @@ fn loopback_cluster_is_deterministic_per_seed() {
 }
 
 #[test]
-fn tcp_cluster_with_stalled_peer_survives_via_retry() {
+fn reactor_cluster_with_stalled_peer_survives_via_retry() {
     let (frags, n_total, truth) = world(8);
     let config = ClusterConfig {
         meetings: 200,
-        transport: TransportKind::Tcp,
+        transport: TransportKind::Reactor,
         seed: 13,
         retry: fast_retry(),
         stall: Some(StallPlan {
             node_index: 1,
-            at_meeting: 0,
             count: 3,
         }),
         ..ClusterConfig::default()
@@ -125,7 +125,7 @@ fn tcp_cluster_with_stalled_peer_survives_via_retry() {
 }
 
 #[test]
-fn tcp_meeting_bytes_match_encoded_len_exactly() {
+fn reactor_meeting_bytes_match_encoded_len_exactly() {
     let (frags, n_total, _) = world(2);
     let perms = MipsPermutations::generate(64, 3);
     let mut frags = frags.into_iter();
@@ -139,9 +139,8 @@ fn tcp_meeting_bytes_match_encoded_len_exactly() {
         JxpPeer::new(frags.next().unwrap(), n_total, JxpConfig::default()),
         &perms,
     );
-    let server = TcpServer::spawn(Arc::clone(&server_node) as Arc<dyn FrameHandler>).expect("bind");
-    let transport = TcpTransport::new(TcpConfig::default());
-    transport.add_route(0, server.addr());
+    let (_reactor, transport) =
+        serve_on_reactor(&[Arc::clone(&server_node) as Arc<dyn FrameHandler>], None).expect("bind");
 
     // Capture both payloads *before* the meeting: the request is the
     // client's pre-meeting payload, the reply is the server's (computed
@@ -167,7 +166,7 @@ fn tcp_meeting_bytes_match_encoded_len_exactly() {
 }
 
 #[test]
-fn loopback_and_tcp_agree_on_wire_bytes() {
+fn loopback_and_reactor_agree_on_wire_bytes() {
     let (frags, n_total, _) = world(4);
     let base = ClusterConfig {
         meetings: 24,
@@ -176,20 +175,20 @@ fn loopback_and_tcp_agree_on_wire_bytes() {
         ..ClusterConfig::default()
     };
     let loopback = run_cluster(frags.clone(), n_total, JxpConfig::default(), &base, None);
-    let tcp = run_cluster(
+    let reactor = run_cluster(
         frags,
         n_total,
         JxpConfig::default(),
         &ClusterConfig {
-            transport: TransportKind::Tcp,
+            transport: TransportKind::Reactor,
             ..base
         },
         None,
     );
     // Same seed ⇒ same meeting schedule ⇒ byte-identical traffic: the
     // transport moves frames, it does not change them.
-    assert_eq!(loopback.meetings_completed, tcp.meetings_completed);
-    assert_eq!(loopback.bytes_total, tcp.bytes_total);
+    assert_eq!(loopback.meetings_completed, reactor.meetings_completed);
+    assert_eq!(loopback.bytes_total, reactor.bytes_total);
 }
 
 #[test]
