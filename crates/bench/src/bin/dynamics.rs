@@ -58,7 +58,7 @@ fn main() {
         let mut last = 0.0;
         for cp in 0..checkpoints {
             for _ in 0..per_checkpoint {
-                net.step();
+                net.run_parallel(1);
                 if condition == "static" {
                     continue;
                 }

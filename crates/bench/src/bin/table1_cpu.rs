@@ -36,12 +36,11 @@ fn measure(ds: &jxp_bench::Dataset, merge: MergeMode, meetings: usize) -> Vec<Pe
         combine: CombineMode::Average,
         ..JxpConfig::default()
     };
-    // Serial stepping: this experiment times each merge individually, so
-    // concurrent meetings would contend for cores and skew the numbers.
+    // One worker thread: this experiment times each merge individually,
+    // so concurrent meetings would contend for cores and skew the numbers.
     let mut net = build_network(ds, cfg, SelectionStrategy::Random, 21, 1);
     let mut costs = vec![PeerCost::default(); net.num_peers()];
-    for _ in 0..meetings {
-        let rec = net.step();
+    for rec in net.run_parallel(meetings).records {
         let a = &mut costs[rec.initiator];
         a.total += rec.stats.merge_time_a;
         a.meetings += 1;

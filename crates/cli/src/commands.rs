@@ -5,7 +5,6 @@ use jxp_core::selection::{PreMeetingsConfig, SelectionStrategy};
 use jxp_core::{CombineMode, JxpConfig, MergeMode};
 use jxp_p2pnet::assign::{assign_by_crawlers, minerva_fragments, CrawlerParams};
 use jxp_p2pnet::{Network, NetworkConfig};
-use jxp_pagerank::gauss_seidel::pagerank_gauss_seidel;
 use jxp_pagerank::{metrics, pagerank, PageRankConfig};
 use jxp_telemetry::{TelemetryHub, TelemetrySnapshot};
 use jxp_webgraph::generators::{amazon_2005, web_crawl_2005, CategorizedGraph, DatasetPreset};
@@ -70,16 +69,11 @@ pub fn pagerank_cmd(args: &ParsedArgs) -> Result<(), String> {
         threads,
         ..Default::default()
     };
-    let solver = args.get_choice("solver", &["power", "gauss-seidel"], "power")?;
-    let result = match solver {
-        "gauss-seidel" => pagerank_gauss_seidel(&g, &cfg),
-        _ => pagerank(&g, &cfg),
-    };
+    let result = pagerank(&g, &cfg);
     println!(
-        "{} pages, {} links — {} converged in {} iterations",
+        "{} pages, {} links — converged in {} iterations",
         g.num_nodes(),
         g.num_edges(),
-        solver,
         result.iterations()
     );
     println!("{:>6} {:>10} {:>12}", "rank", "page", "score");
@@ -626,7 +620,7 @@ pub fn search(args: &ParsedArgs) -> Result<(), String> {
         NetworkConfig::default(),
         seed,
     );
-    net.run(meetings);
+    net.run_parallel(meetings);
     let corpus = Corpus::generate(
         &cg,
         &truth,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! jxp-cli generate --dataset amazon --scale 0.1 --out web.jxpg
-//! jxp-cli pagerank --graph web.jxpg --top 10 --solver gauss-seidel
+//! jxp-cli pagerank --graph web.jxpg --top 10
 //! jxp-cli simulate --dataset amazon --scale 0.1 --meetings 800
 //! jxp-cli search   --scale 0.1 --queries 10
 //! ```
@@ -27,8 +27,8 @@ commands:
              --dataset amazon|web (default amazon), --scale 0..=1 (0.1),
              --seed N, --out FILE (graph.jxpg), --edge-list FILE (optional)
   pagerank   compute centralized PageRank over a graph file
-             --graph FILE, --top K (10), --solver power|gauss-seidel,
-             --epsilon 0.85, --threads N (0 = all cores; power solver)
+             --graph FILE, --top K (10), --epsilon 0.85,
+             --threads N (0 = all cores)
   simulate   run a JXP P2P network and report convergence
              --dataset amazon|web, --scale (0.05), --meetings N (600),
              --merge light|full, --combine max|avg,
@@ -151,7 +151,7 @@ mod tests {
         .unwrap();
         assert!(path.exists());
         run(&argv(&format!(
-            "pagerank --graph {} --top 5 --solver gauss-seidel",
+            "pagerank --graph {} --top 5",
             path.display()
         )))
         .unwrap();

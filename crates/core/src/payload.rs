@@ -90,28 +90,33 @@ impl MeetingPayload {
     /// scope there and here, but a peer can and should reject *malformed*
     /// payloads before absorbing them: non-finite or negative scores,
     /// scores that exceed the total PageRank mass, a local score list that
-    /// claims more than the whole network's authority, or duplicate page
-    /// records. Returns a description of the first violation.
+    /// claims more than the whole network's authority, or duplicate or
+    /// out-of-order records in any of the three lists ([`assemble`]
+    /// emits each in ascending page order; a repeated world entry would
+    /// otherwise be absorbed twice). Returns a description of the first
+    /// violation.
+    ///
+    /// [`assemble`]: MeetingPayload::assemble
     pub fn validate(&self) -> Result<(), String> {
         let valid_score = |s: f64| s.is_finite() && (0.0..=1.0).contains(&s);
         if !valid_score(self.world_score) {
             return Err(format!("world score {} out of [0, 1]", self.world_score));
         }
+        if !strictly_ascending(self.pages.iter().map(|p| p.page)) {
+            return Err("page records not sorted / contain duplicates".into());
+        }
+        if !strictly_ascending(self.world.iter().map(|w| w.src)) {
+            return Err("world entries not sorted / contain duplicates".into());
+        }
+        if !strictly_ascending(self.world_dangling.iter().map(|&(p, _)| p)) {
+            return Err("dangling entries not sorted / contain duplicates".into());
+        }
         let mut total = 0.0;
-        let mut last: Option<PageId> = None;
-        let mut sorted = true;
         for pp in &self.pages {
             if !valid_score(pp.score) {
                 return Err(format!("page {:?} has invalid score {}", pp.page, pp.score));
             }
             total += pp.score;
-            if let Some(prev) = last {
-                sorted &= prev < pp.page;
-            }
-            last = Some(pp.page);
-        }
-        if !sorted {
-            return Err("page records not sorted / contain duplicates".into());
         }
         if total > 1.0 + 1e-6 {
             return Err(format!("local score list claims total mass {total} > 1"));
@@ -173,6 +178,13 @@ impl MeetingPayload {
         self.pages.iter().map(|p| p.succs.len()).sum::<usize>()
             + self.world.iter().map(|w| w.targets.len()).sum::<usize>()
     }
+}
+
+/// Whether `ids` is strictly ascending (sorted, no duplicates).
+fn strictly_ascending(mut ids: impl Iterator<Item = PageId>) -> bool {
+    let mut last = None;
+    // `None` orders before every id, so the first one always passes.
+    ids.all(|id| last.replace(id) < Some(id))
 }
 
 #[cfg(test)]
@@ -279,6 +291,29 @@ mod tests {
         let mut evil = honest.clone();
         evil.world_score = -0.2;
         assert!(evil.validate().is_err());
+    }
+
+    #[test]
+    fn duplicate_or_unsorted_world_entries_are_rejected() {
+        let graph = fragment();
+        let mut world = WorldNode::new();
+        world.upsert(PageId(9), 3, 0.2, [PageId(0)], CombineMode::TakeMax);
+        world.upsert_dangling(PageId(11), 0.05, CombineMode::TakeMax);
+        world.upsert_dangling(PageId(12), 0.05, CombineMode::TakeMax);
+        let honest = MeetingPayload::assemble(&graph, &world, &[0.4, 0.3], 0.3);
+        honest.validate().unwrap();
+
+        // A repeated world source would be upserted twice by absorb.
+        let mut evil = honest.clone();
+        evil.world.push(evil.world[0].clone());
+        let err = evil.validate().unwrap_err();
+        assert!(err.contains("world entries"), "{err}");
+
+        // Dangling entries out of order.
+        let mut evil = honest.clone();
+        evil.world_dangling.reverse();
+        let err = evil.validate().unwrap_err();
+        assert!(err.contains("dangling entries"), "{err}");
     }
 
     #[test]

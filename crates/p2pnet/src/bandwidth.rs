@@ -33,6 +33,18 @@ impl BandwidthLog {
         self.per_peer.push(Vec::new());
     }
 
+    /// Drop departed peer `p`'s history with the same swap-remove the
+    /// simulator applies to its peers, so the last peer's history follows
+    /// it to index `p`. Totals keep the departed peer's bytes.
+    pub fn remove_peer(&mut self, p: usize) {
+        self.per_peer.swap_remove(p);
+    }
+
+    /// Number of peers the log tracks.
+    pub fn num_peers(&self) -> usize {
+        self.per_peer.len()
+    }
+
     /// Record a meeting: each side sent `bytes_a` / `bytes_b` respectively.
     pub fn record_meeting(&mut self, peer_a: usize, bytes_a: u64, peer_b: usize, bytes_b: u64) {
         self.per_peer[peer_a].push(bytes_a);

@@ -451,7 +451,7 @@ mod tests {
 
         let mut sync_net =
             crate::sim::Network::new(frags.clone(), n, crate::sim::NetworkConfig::default(), 66);
-        sync_net.run(200);
+        sync_net.run_parallel(200);
         let sync_f = metrics::footrule_distance(&sync_net.total_ranking(), &truth_ranking, 50);
 
         let mut async_net = EventNetwork::new(frags, n, EventSimConfig::default(), 66);

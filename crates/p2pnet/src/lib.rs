@@ -7,9 +7,10 @@
 //! * [`assign`] — the §6.1 page→peer assignment: one simulated focused
 //!   crawler per peer (BFS from thematic seed pages, off-category links
 //!   followed with probability ½), plus the §6.3 Minerva fragment layout;
-//! * [`sim`] — the [`Network`]: owns the peers, schedules
-//!   meetings (random or pre-meetings strategy), tracks the global meeting
-//!   counter that is the x-axis of every convergence figure;
+//! * [`sim`] — the [`Network`]: owns the peers, the partner-selection
+//!   strategy (random or pre-meetings) and the per-meeting accounting,
+//!   and tracks the global meeting counter that is the x-axis of every
+//!   convergence figure;
 //! * [`bandwidth`] — per-meeting message-size logging with the quartile
 //!   summaries of Figures 11/12 and cumulative totals;
 //! * [`churn`] — peer join/leave dynamics (§5.3: JXP "has been designed
@@ -21,9 +22,9 @@
 //! * [`count`] — gossip-based estimation of the global page count `N`
 //!   with duplicate-insensitive FM sketches (the "work without knowing N"
 //!   modification mentioned in §3);
-//! * [`parallel`] — the deterministic round-based parallel meeting
-//!   engine: meetings on disjoint peer pairs run concurrently with
-//!   results bit-identical to the sequential replay of the same schedule.
+//! * [`parallel`] — the one meeting engine, [`Network::run_parallel`]:
+//!   deterministic rounds in which meetings on disjoint peer pairs run
+//!   concurrently, bit-identical at every thread count.
 
 pub mod assign;
 pub mod bandwidth;
@@ -36,5 +37,5 @@ pub mod sim;
 pub use assign::{assign_by_crawlers, minerva_fragments, CrawlerParams};
 pub use bandwidth::BandwidthLog;
 pub use churn::{ChurnEvent, ChurnModel, DurableChurn};
-pub use parallel::ParallelRunReport;
+pub use parallel::{MeetingRecord, ParallelRunReport};
 pub use sim::{Network, NetworkConfig};

@@ -7,17 +7,15 @@
 
 use crate::bandwidth::BandwidthLog;
 use crate::count::GossipCounter;
-use jxp_core::meeting::{meet, MeetingStats};
-use jxp_core::selection::{
-    observe_meeting, select_partner, PeerSynopses, SelectionStrategy, SelectorState,
-};
+use jxp_core::meeting::MeetingStats;
+use jxp_core::selection::{observe_meeting, PeerSynopses, SelectionStrategy, SelectorState};
 use jxp_core::{JxpConfig, JxpPeer};
 use jxp_pagerank::Ranking;
 use jxp_synopses::mips::MipsPermutations;
 use jxp_telemetry::{Counter, Event, Gauge, Histogram, TelemetryHub};
 use jxp_webgraph::Subgraph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Simulator configuration.
@@ -44,8 +42,7 @@ pub struct NetworkConfig {
     pub route_via_wire: bool,
     /// Worker threads for [`Network::run_parallel`] rounds (`0` = the
     /// machine's available parallelism, `1` = serial). Scores are
-    /// bit-identical for every value — see [`crate::parallel`]. The
-    /// sequential [`Network::step`]/[`Network::run`] path ignores it.
+    /// bit-identical for every value — see [`crate::parallel`].
     pub threads: usize,
 }
 
@@ -62,17 +59,6 @@ impl Default for NetworkConfig {
             threads: 0,
         }
     }
-}
-
-/// Record of one simulated meeting.
-#[derive(Debug, Clone)]
-pub struct MeetingRecord {
-    /// Peer that initiated the meeting.
-    pub initiator: usize,
-    /// Chosen partner.
-    pub partner: usize,
-    /// The core meeting measurements (bytes, CPU time per side).
-    pub stats: MeetingStats,
 }
 
 /// Telemetry handles the simulator touches on hot paths, resolved once
@@ -308,40 +294,10 @@ impl Network {
         }
     }
 
-    /// Execute one meeting: a uniformly random initiator chooses a partner
-    /// per the configured strategy; both sides exchange and absorb.
-    pub fn step(&mut self) -> MeetingRecord {
-        let n = self.peers.len();
-        let initiator = self.rng.gen_range(0..n);
-        let partner = select_partner(
-            &mut self.states[initiator],
-            &self.config.strategy,
-            initiator,
-            n,
-            &mut self.rng,
-        );
-        debug_assert_ne!(initiator, partner);
-        let (a, b) = pair_mut(&mut self.peers, initiator, partner);
-        let stats = if self.config.route_via_wire {
-            meet_via_wire(a, b)
-        } else {
-            meet(a, b)
-        };
-        self.account_meeting(initiator, partner, &stats);
-        MeetingRecord {
-            initiator,
-            partner,
-            stats,
-        }
-    }
-
-    /// Post-meeting bookkeeping shared by the sequential [`step`] path
-    /// and the round-based parallel engine ([`crate::parallel`]):
+    /// Post-meeting bookkeeping of the round engine ([`crate::parallel`]):
     /// bandwidth accounting, pre-meetings synopsis exchange, FM-sketch
     /// gossip, and the global meeting counter. Always runs serially, in
-    /// schedule order, so both paths account identically.
-    ///
-    /// [`step`]: Network::step
+    /// schedule order, after the meeting's round has executed.
     pub(crate) fn account_meeting(
         &mut self,
         initiator: usize,
@@ -406,13 +362,6 @@ impl Network {
         self.meetings += 1;
     }
 
-    /// Run `count` meetings.
-    pub fn run(&mut self, count: usize) {
-        for _ in 0..count {
-            self.step();
-        }
-    }
-
     /// Aggregate peer-selection statistics:
     /// `(selections, candidate-driven, cache revisits, cached ids total)`.
     pub fn selection_stats(&self) -> (usize, usize, usize, usize) {
@@ -465,7 +414,8 @@ impl Network {
         self.record_churn(self.peers.len() - 1, true);
     }
 
-    /// A departing peer (churn). Uses swap-remove, which renumbers the
+    /// A departing peer (churn). Peers, synopses, gossip sketches and
+    /// bandwidth histories are swap-removed together, which renumbers the
     /// last peer; all selector caches are reset because cached ids become
     /// stale (a real network keys caches by durable peer ids — the
     /// simulator models the loss of cached knowledge conservatively).
@@ -476,6 +426,7 @@ impl Network {
         assert!(self.peers.len() > 2, "cannot shrink below two peers");
         let peer = self.peers.swap_remove(p);
         self.synopses.swap_remove(p);
+        self.bandwidth.remove_peer(p);
         if let Some(c) = &mut self.counter {
             c.remove_peer(p);
         }
@@ -535,18 +486,6 @@ pub(crate) fn meet_via_wire(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
     }
 }
 
-/// Mutable references to two distinct elements.
-fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j, "cannot borrow the same element twice");
-    if i < j {
-        let (l, r) = v.split_at_mut(j);
-        (&mut l[i], &mut r[0])
-    } else {
-        let (l, r) = v.split_at_mut(i);
-        (&mut r[0], &mut l[j])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,7 +523,7 @@ mod tests {
             NetworkConfig::default(),
             7,
         );
-        net.run(20);
+        net.run_parallel(20);
         assert_eq!(net.meetings(), 20);
         assert!(net.bandwidth().total_bytes() > 0);
         assert_eq!(net.num_peers(), 6);
@@ -602,7 +541,7 @@ mod tests {
             7,
         );
         let early = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 50);
-        net.run(150);
+        net.run_parallel(150);
         let late = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 50);
         assert!(late < early, "footrule did not improve: {early} → {late}");
         assert!(late < 0.35, "footrule after 150 meetings: {late}");
@@ -616,7 +555,7 @@ mod tests {
             ..Default::default()
         };
         let mut net = Network::new(frags, cg.graph.num_nodes() as u64, config, 9);
-        net.run(60);
+        net.run_parallel(60);
         assert_eq!(net.meetings(), 60);
         // Synopses piggyback on messages, so totals include them.
         assert!(net.bandwidth().total_bytes() > 0);
@@ -642,7 +581,7 @@ mod tests {
         let spread_initial: f64 = (0..net.num_peers())
             .map(|p| (net.peer(p).n_total() - covered).abs())
             .sum();
-        net.run(100);
+        net.run_parallel(100);
         for p in 0..net.num_peers() {
             let est = net.peer(p).n_total();
             assert!(
@@ -667,7 +606,8 @@ mod tests {
             ..Default::default()
         };
         let mut net = Network::new(frags, cg.graph.num_nodes() as u64, config, 17);
-        let record = net.step();
+        let report = net.run_parallel(1);
+        let record = &report.records[0];
         // Each side's logged bytes = its payload + its OWN synopses. A
         // regression that charges one side's synopses to both directions
         // (or drops a direction) breaks this equality.
@@ -707,8 +647,8 @@ mod tests {
             },
             23,
         );
-        let d = direct.step();
-        let w = wired.step();
+        let (d, w) = (direct.run_parallel(1), wired.run_parallel(1));
+        let (d, w) = (&d.records[0], &w.records[0]);
         assert_eq!(d.initiator, w.initiator);
         assert_eq!(d.partner, w.partner);
         assert_eq!(
@@ -735,8 +675,8 @@ mod tests {
             },
             29,
         );
-        direct.run(80);
-        wired.run(80);
+        direct.run_parallel(80);
+        wired.run_parallel(80);
         // The codec is lossless, so routing through it must not change
         // the resulting scores at all (same seed, same meetings).
         for p in 0..direct.num_peers() {
@@ -754,15 +694,39 @@ mod tests {
             NetworkConfig::default(),
             13,
         );
-        net.run(10);
+        net.run_parallel(10);
         net.add_peer(extra);
         assert_eq!(net.num_peers(), 7);
-        net.run(10);
+        net.run_parallel(10);
         let gone = net.remove_peer(0);
         assert!(gone.num_pages() > 0);
         assert_eq!(net.num_peers(), 6);
-        net.run(10);
+        net.run_parallel(10);
         assert_eq!(net.meetings(), 30);
+    }
+
+    #[test]
+    fn departures_move_the_last_peers_bandwidth_history() {
+        let (cg, frags) = small_world();
+        let extra = frags[0].clone();
+        let mut net = Network::new(
+            frags,
+            cg.graph.num_nodes() as u64,
+            NetworkConfig::default(),
+            13,
+        );
+        net.run_parallel(40);
+        let last = net.bandwidth().peer_history(net.num_peers() - 1).to_vec();
+        assert!(!last.is_empty());
+        let total = net.bandwidth().total_bytes();
+        let _ = net.remove_peer(0);
+        assert_eq!(net.bandwidth().peer_history(0), last.as_slice());
+        assert_eq!(net.bandwidth().num_peers(), net.num_peers());
+        assert_eq!(net.bandwidth().total_bytes(), total);
+        // A later joiner starts with an empty history of its own.
+        net.add_peer(extra);
+        assert_eq!(net.bandwidth().num_peers(), net.num_peers());
+        assert!(net.bandwidth().peer_history(net.num_peers() - 1).is_empty());
     }
 
     #[test]
@@ -776,9 +740,9 @@ mod tests {
         let mut net = Network::new(frags, cg.graph.num_nodes() as u64, config, 13);
         let hub = jxp_telemetry::TelemetryHub::shared();
         net.attach_telemetry(Arc::clone(&hub));
-        net.run(25);
+        net.run_parallel(25);
         net.add_peer(extra);
-        net.run(5);
+        net.run_parallel(5);
         let departed_index = net.num_peers() - 1;
         let _ = net.remove_peer(departed_index);
 
@@ -796,8 +760,8 @@ mod tests {
         assert!(counters["jxp_sim_premeeting_bytes_total"] > 0);
         assert_eq!(counters["jxp_sim_churn_joins_total"], 1);
         assert_eq!(counters["jxp_sim_churn_departures_total"], 1);
-        // The sequential path runs no rounds.
-        assert_eq!(counters["jxp_sim_rounds_total"], 0);
+        let rounds = counters["jxp_sim_rounds_total"];
+        assert!(rounds > 0, "every meeting runs in a counted round");
 
         let churn: Vec<(u64, bool)> = snap
             .events
@@ -808,8 +772,9 @@ mod tests {
             })
             .collect();
         assert_eq!(churn, vec![(6, true), (departed_index as u64, false)]);
-        // 30 meetings × (started + completed) + 2 churn events.
-        assert_eq!(hub.events().recorded(), 62);
+        // 30 meetings × (started + completed) + 2 churn events + one
+        // RoundExecuted per round.
+        assert_eq!(hub.events().recorded(), 62 + rounds);
     }
 
     #[test]
@@ -873,22 +838,6 @@ mod tests {
             13,
         );
         net.attach_convergence_truth(&[0.0; 4]);
-    }
-
-    #[test]
-    fn pair_mut_returns_distinct_references() {
-        let mut v = vec![1, 2, 3];
-        let (a, b) = pair_mut(&mut v, 2, 0);
-        *a += 10;
-        *b += 100;
-        assert_eq!(v, vec![101, 2, 13]);
-    }
-
-    #[test]
-    #[should_panic(expected = "same element")]
-    fn pair_mut_same_index_panics() {
-        let mut v = vec![1, 2];
-        let _ = pair_mut(&mut v, 1, 1);
     }
 
     #[test]

@@ -36,12 +36,10 @@
 
 pub mod blockrank;
 pub mod chen_local;
-pub mod gauss_seidel;
 pub mod hits;
 pub mod metrics;
 pub mod opic;
 pub mod par;
-pub mod personalized;
 pub mod power;
 pub mod ranking;
 

@@ -73,7 +73,7 @@ fn main() {
     );
     for epoch in 1..=12 {
         for _ in 0..100 {
-            net.step();
+            net.run_parallel(1);
             match model.tick(&mut net, &pool, &mut cursor, &mut rng) {
                 ChurnEvent::Joined(_) | ChurnEvent::Rejoined(_) => joins += 1,
                 ChurnEvent::Left(_) => leaves += 1,

@@ -1,5 +1,6 @@
 //! Integration tests of the full network stack: simulator, selection
-//! strategies, N estimation, churn, bandwidth accounting.
+//! strategies, N estimation, churn, bandwidth accounting, and how a run
+//! may be sliced into `run_parallel` calls.
 
 use jxp::core::selection::{PreMeetingsConfig, SelectionStrategy};
 use jxp::core::JxpConfig;
@@ -57,7 +58,7 @@ fn both_selection_strategies_converge() {
             43,
         );
         let before = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
-        net.run(400);
+        net.run_parallel(400);
         let after = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
         assert!(
             after < before,
@@ -78,7 +79,7 @@ fn premeetings_selections_are_used_and_fairness_randoms_remain() {
         },
         44,
     );
-    net.run(400);
+    net.run_parallel(400);
     let (selections, candidate, revisit, cached) = net.selection_stats();
     assert_eq!(selections, 400);
     assert!(candidate > 0, "no candidate-driven selections happened");
@@ -99,7 +100,7 @@ fn bandwidth_log_is_consistent_with_meetings() {
         NetworkConfig::default(),
         45,
     );
-    net.run(200);
+    net.run_parallel(200);
     let log = net.bandwidth();
     // Every meeting logs exactly two per-peer entries.
     let entries: usize = (0..num_peers).map(|p| log.peer_history(p).len()).sum();
@@ -131,8 +132,8 @@ fn premeetings_add_synopsis_bytes() {
         },
         46,
     );
-    random_net.run(100);
-    pre_net.run(100);
+    random_net.run_parallel(100);
+    pre_net.run_parallel(100);
     // Identical seeds → comparable workloads; the pre-meetings run ships
     // MIPs vectors on top of the payloads.
     let r = random_net.bandwidth().total_bytes();
@@ -162,7 +163,7 @@ fn gossip_n_estimation_tracks_coverage_and_converges() {
         },
         47,
     );
-    net.run(300);
+    net.run_parallel(300);
     for p in 0..net.num_peers() {
         let est = net.peer(p).n_total();
         assert!(
@@ -191,7 +192,7 @@ fn local_stability_signal_tracks_global_convergence() {
         .collect();
     let mut first_mostly_stable: Option<(u64, f64)> = None;
     for _ in 0..1500 {
-        let rec = net.step();
+        let rec = &net.run_parallel(1).records[0];
         detectors[rec.initiator].observe(net.peer(rec.initiator));
         detectors[rec.partner].observe(net.peer(rec.partner));
         if first_mostly_stable.is_none() && stable_fraction(&detectors) > 0.8 {
@@ -232,7 +233,7 @@ fn network_survives_interleaved_churn_and_stays_accurate() {
     let mut cursor = 0usize;
     let mut events = 0;
     for _ in 0..500 {
-        net.step();
+        net.run_parallel(1);
         if !matches!(
             model.tick(&mut net, &pool, &mut cursor, &mut rng),
             ChurnEvent::None
@@ -246,4 +247,60 @@ fn network_survives_interleaved_churn_and_stays_accurate() {
     }
     let f = metrics::footrule_distance(&net.total_ranking(), &truth_ranking, 60);
     assert!(f < 0.3, "ranking degraded too much under churn: {f}");
+}
+
+/// Everything a run leaves behind that the call granularity could
+/// perturb: score bits, every bandwidth history, the `N` estimates and
+/// the selector statistics.
+type RunFingerprint = (
+    Vec<Vec<u64>>,
+    Vec<Vec<u64>>,
+    Vec<u64>,
+    (usize, usize, usize, usize),
+);
+
+fn run_fingerprint(net: &Network) -> RunFingerprint {
+    let peers = net.peers();
+    (
+        peers
+            .iter()
+            .map(|p| p.scores().iter().map(|s| s.to_bits()).collect())
+            .collect(),
+        (0..peers.len())
+            .map(|p| net.bandwidth().peer_history(p).to_vec())
+            .collect(),
+        peers.iter().map(|p| p.n_total().to_bits()).collect(),
+        net.selection_stats(),
+    )
+}
+
+#[test]
+fn run_is_defined_by_its_draws_not_by_call_granularity() {
+    let (cg, frags) = world();
+    let k = 120;
+    for estimate_n in [false, true] {
+        for threads in [1, 2] {
+            let slice = |calls: &[usize]| {
+                let mut net = Network::new(
+                    frags.clone(),
+                    cg.graph.num_nodes() as u64,
+                    NetworkConfig {
+                        estimate_n,
+                        threads,
+                        ..Default::default()
+                    },
+                    43,
+                );
+                for &count in calls {
+                    assert_eq!(net.run_parallel(count).records.len(), count);
+                }
+                assert_eq!(net.meetings(), k as u64);
+                run_fingerprint(&net)
+            };
+            let whole = slice(&[k]);
+            let label = format!("estimate_n={estimate_n}, threads={threads}");
+            assert_eq!(slice(&vec![1; k]), whole, "one at a time, {label}");
+            assert_eq!(slice(&[k / 3, k - k / 3]), whole, "split, {label}");
+        }
+    }
 }
