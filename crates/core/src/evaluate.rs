@@ -37,6 +37,22 @@ pub fn total_ranking<'a>(peers: impl IntoIterator<Item = &'a JxpPeer>) -> Rankin
     )
 }
 
+/// FNV-1a over the bit patterns of every peer's score list, in peer
+/// order: any divergence — across thread counts, transports or a crash
+/// and resume — down to the last ulp, changes it.
+pub fn score_hash<'a>(peers: impl IntoIterator<Item = &'a JxpPeer>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for peer in peers {
+        for s in peer.scores() {
+            for b in s.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
 /// Convenience: the centralized-PageRank ranking of a full graph, in the
 /// same [`Ranking`] form, for comparison against [`total_ranking`].
 pub fn centralized_ranking(scores: &[f64]) -> Ranking {

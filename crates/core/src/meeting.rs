@@ -18,7 +18,6 @@
 //! whose repeated averaging against fresh opinions forgets stale highs.
 //! The paper leaves convergence under dynamics open (§5.3, §7).
 
-use crate::payload::MeetingPayload;
 use crate::peer::JxpPeer;
 use std::time::{Duration, Instant};
 
@@ -65,30 +64,6 @@ pub fn meet(a: &mut JxpPeer, b: &mut JxpPeer) -> MeetingStats {
         merge_time_b,
         ..stats
     }
-}
-
-/// One-directional meeting: only `a` learns from `b` (used when modelling
-/// an unreachable or departing peer that can still be read from, and by
-/// tests that need asymmetric knowledge).
-pub fn meet_one_way(a: &mut JxpPeer, b: &JxpPeer) -> MeetingStats {
-    let payload_b = b.payload();
-    let bytes = payload_b.wire_size();
-    let t0 = Instant::now();
-    a.absorb(&payload_b);
-    MeetingStats {
-        bytes_a_to_b: 0,
-        bytes_b_to_a: bytes,
-        merge_time_a: t0.elapsed(),
-        merge_time_b: Duration::ZERO,
-    }
-}
-
-/// Deliver an explicit payload to a peer (used by the network simulator
-/// when payloads travel through its message layer).
-pub fn deliver(to: &mut JxpPeer, payload: &MeetingPayload) -> Duration {
-    let t0 = Instant::now();
-    to.absorb(payload);
-    t0.elapsed()
 }
 
 #[cfg(test)]
@@ -147,17 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn one_way_meeting_only_updates_receiver() {
-        let (mut a, b) = two_peers();
-        let b_world_before = b.world().len();
-        let stats = meet_one_way(&mut a, &b);
-        assert!(!a.world().is_empty());
-        assert_eq!(b.world().len(), b_world_before);
-        assert_eq!(stats.bytes_a_to_b, 0);
-        assert!(stats.bytes_b_to_a > 0);
-    }
-
-    #[test]
     fn message_size_grows_with_world_knowledge() {
         let (mut a, mut b) = two_peers();
         let first = meet(&mut a, &mut b);
@@ -166,16 +130,6 @@ mod tests {
         // second exchange ships strictly more bytes.
         assert!(second.bytes_a_to_b > first.bytes_a_to_b);
         assert!(second.bytes_b_to_a > first.bytes_b_to_a);
-    }
-
-    #[test]
-    fn deliver_applies_a_detached_payload() {
-        let (mut a, b) = two_peers();
-        let payload = b.payload();
-        let elapsed = deliver(&mut a, &payload);
-        assert!(!a.world().is_empty());
-        assert_eq!(a.stats().meetings, 1);
-        assert!(elapsed.as_nanos() > 0);
     }
 
     #[test]

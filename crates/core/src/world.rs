@@ -177,12 +177,6 @@ impl WorldNode {
             self.entries.remove(&src);
             return;
         }
-        debug_assert!(
-            targets.windows(2).all(|w| w[0] < w[1]) || {
-                // accept unsorted input defensively
-                true
-            }
-        );
         let mut targets = targets;
         targets.sort_unstable();
         targets.dedup();

@@ -17,7 +17,7 @@ use crate::transport::{
     retry_submitted, FrameHandler, NodeId, RetryPolicy, StallInjector, Transport,
 };
 use jxp_core::config::JxpConfig;
-use jxp_core::evaluate::{centralized_ranking, total_ranking};
+use jxp_core::evaluate::{centralized_ranking, score_hash, total_ranking};
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_pagerank::metrics::footrule_distance;
 use jxp_reactor::Reactor;
@@ -504,7 +504,12 @@ pub fn run_cluster_with(
                 .outbound
                 .as_ref()
                 .expect("serve records always carry the outbound payload");
-            nodes[initiator].apply_repair(outbound);
+            if let Err(why) = nodes[initiator].apply_repair(outbound) {
+                panic!(
+                    "state dir inconsistent at meeting {m}: node {t}'s journaled reply \
+                     fails validation ({why}) — corrupt --state-dir?"
+                );
+            }
         }
     }
 
@@ -602,16 +607,7 @@ pub fn run_cluster_with(
     let per_node: Vec<NodeStats> = nodes.iter().map(|n| n.stats()).collect();
     let score_hash = {
         let guards: Vec<_> = nodes.iter().map(|n| n.lock()).collect();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for guard in &guards {
-            for &score in guard.peer.scores() {
-                for byte in score.to_bits().to_le_bytes() {
-                    hash ^= u64::from(byte);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        hash
+        score_hash(guards.iter().map(|g| &g.peer))
     };
     let footrule = truth.map(|scores| {
         let guards: Vec<_> = nodes.iter().map(|n| n.lock()).collect();

@@ -182,16 +182,20 @@ impl JxpNode {
 
     /// Repair a torn meeting: absorb the reply payload recovered from
     /// the partner's final `Serve` WAL record, journaling it like the
-    /// absorb that was lost in the crash.
-    pub fn apply_repair(&self, payload: &MeetingPayload) {
+    /// absorb that was lost in the crash. The payload comes from another
+    /// peer's journal, so it is validated like a live reply: on
+    /// rejection nothing is absorbed or journaled and the score epoch
+    /// stays put.
+    pub fn apply_repair(&self, payload: &MeetingPayload) -> Result<(), String> {
         let mut state = self.lock();
         let NodeState { peer, persist, .. } = &mut *state;
-        peer.absorb(payload);
+        peer.try_absorb(payload)?;
         if let Some(p) = persist.as_mut() {
             p.record_absorb(peer, payload);
             p.metrics().repairs_total.inc();
         }
         self.bump_score_epoch();
+        Ok(())
     }
 
     /// This node's id.
@@ -663,7 +667,7 @@ mod tests {
 
         // Repair is an absorb too.
         let payload = b.current_payload();
-        a.apply_repair(&payload);
+        a.apply_repair(&payload).unwrap();
         assert_eq!(a.score_epoch(), 2);
 
         // Non-mutating traffic leaves the epoch alone.
@@ -672,6 +676,42 @@ mod tests {
             num_pages: 1,
         });
         assert_eq!(a.score_epoch(), 2);
+    }
+
+    #[test]
+    fn torn_repair_rejects_an_invalid_journaled_reply() {
+        use crate::persist::{PersistConfig, SharedStore};
+        use jxp_store::{MemStore, StoreMetrics};
+
+        let (a, b) = two_fragment_nodes();
+        let store: SharedStore = Arc::new(MemStore::new());
+        let metrics = StoreMetrics::detached();
+        a.attach_persistence(NodePersist::new(
+            Arc::clone(&store),
+            "node-1",
+            PersistConfig::default(),
+            metrics.clone(),
+            0,
+        ));
+        let scores_before = a.with_peer(|p| p.scores().to_vec());
+
+        // A reply read back from the partner's journal with a NaN score:
+        // the CRC held, the payload is still not one an honest peer sends.
+        let mut bad = b.current_payload();
+        bad.pages[0].score = f64::NAN;
+        assert!(a.apply_repair(&bad).is_err());
+        assert_eq!(a.with_peer(|p| p.scores().to_vec()), scores_before);
+        assert_eq!(a.with_peer(|p| p.stats().meetings), 0);
+        assert_eq!(a.score_epoch(), 0);
+        assert_eq!(a.lock().persist.as_ref().map(|p| p.seq()), Some(0));
+        assert_eq!(store.wal_size("node-1").unwrap(), 0);
+        assert_eq!(metrics.repairs_total.get(), 0);
+
+        // The honest reply repairs, journals and bumps as before.
+        a.apply_repair(&b.current_payload()).unwrap();
+        assert_eq!(a.score_epoch(), 1);
+        assert_eq!(a.lock().persist.as_ref().map(|p| p.seq()), Some(1));
+        assert_eq!(metrics.repairs_total.get(), 1);
     }
 
     #[test]

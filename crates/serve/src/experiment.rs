@@ -5,8 +5,7 @@
 //! the closed-loop [`LoadGen`] (warmup during the meetings, measurement
 //! after), and evaluates the answers against the corpus ground truth
 //! and a centralized reference engine. The result renders to the
-//! `BENCH_serve.json` schema consumed by CI (`bench_serve` binary in
-//! `jxp-bench` / `jxp-cli loadgen`).
+//! `BENCH_serve.json` schema that CI checks after `jxp-cli loadgen`.
 //!
 //! Result merging across nodes is the Minerva-style max-merge: a page
 //! reported by several peers keeps its best score per component. Fused
@@ -121,7 +120,9 @@ pub struct ServeBenchReport {
     pub metrics_addr: Option<SocketAddr>,
 }
 
-/// Split `cg` into `n` contiguous fragments of near-equal size.
+/// Split `cg` into `n` contiguous fragments of near-equal size, for the
+/// networked runs (crawler-based assignment produces a category-dependent
+/// peer count; a cluster wants exactly `n` nodes).
 pub fn contiguous_fragments(cg: &CategorizedGraph, n: usize) -> Vec<Subgraph> {
     let total = cg.graph.num_nodes();
     let per = total.div_ceil(n);

@@ -16,8 +16,9 @@
 //! to the previous one on CRC mismatch — then replays WAL records in
 //! sequence over the restored peer. `JxpPeer::absorb` is deterministic
 //! given state + payload, so replay reproduces the pre-crash scores
-//! bit for bit. A truncated final WAL record (torn tail) stops replay
-//! at the last good record instead of failing.
+//! bit for bit. Every replayed payload is validated first, as on the
+//! live path. A truncated final WAL record (torn tail) or an invalid
+//! payload stops replay at the last good record instead of failing.
 //!
 //! Two [`StateStore`] backends ship: [`DirStore`] (a per-peer directory
 //! layout on disk) and [`MemStore`] (an in-memory test double with
@@ -139,8 +140,9 @@ fn decode_and_load(bytes: &[u8]) -> Result<(u64, JxpPeer), StoreError> {
 /// 2. on any failure, fall back to the previous checkpoint
 ///    (`used_fallback = true`);
 /// 3. replay WAL records whose sequence continues the checkpoint's
-///    (`seq > checkpoint_seq`, strictly contiguous), stopping cleanly
-///    at a torn tail or a sequence gap.
+///    (`seq > checkpoint_seq`, strictly contiguous) through
+///    `JxpPeer::try_absorb`, stopping cleanly at a torn tail, a
+///    sequence gap or the first payload that fails validation.
 ///
 /// Backends call this from [`StateStore::load`]; it is exposed so
 /// offline tools (`jxp checkpoint verify`) can drive it on raw bytes.
@@ -176,7 +178,12 @@ pub fn recover(
             // consistent prefix rather than applying out-of-order deltas.
             break;
         }
-        peer.absorb(&record.inbound);
+        if peer.try_absorb(&record.inbound).is_err() {
+            // The CRC only proves the bytes are the ones written; a
+            // payload that fails validation was never an honest absorb,
+            // so replay stops at the last record that was.
+            break;
+        }
         seq = record.seq;
         replayed += 1;
         last_record = Some(record);

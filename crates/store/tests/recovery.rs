@@ -166,6 +166,41 @@ fn torn_wal_tail_is_tolerated() {
 }
 
 #[test]
+fn invalid_journaled_payload_stops_replay_at_the_previous_record() {
+    // A score list claiming mass > 1 and a NaN score both pass the
+    // record CRC; replay must validate them like a live absorb would.
+    let poisons: [fn(&mut MeetingPayload); 2] =
+        [|p| p.pages[0].score = 1.0, |p| p.pages[0].score = f64::NAN];
+    for poison in poisons {
+        let store = MemStore::new();
+        let (mut a, mut c) = peer_pair();
+        exchange(&mut a, &mut c);
+        store
+            .checkpoint("a", 1, &snapshot::save(&a))
+            .expect("checkpoint");
+        let (inbound, _) = exchange(&mut a, &mut c);
+        store
+            .append("a", &absorb_record(2, inbound))
+            .expect("append 2");
+        let mut bad = c.payload();
+        poison(&mut bad);
+        assert!(bad.validate().is_err());
+        store.append("a", &absorb_record(3, bad)).expect("append 3");
+        store
+            .append("a", &absorb_record(4, c.payload()))
+            .expect("append 4");
+
+        let rec = store.load("a").expect("load").expect("state exists");
+        assert_eq!(rec.seq, 2);
+        assert_eq!(rec.replayed, 1);
+        assert_eq!(rec.last_record.expect("record 2 kept").seq, 2);
+        assert!(!rec.torn_tail);
+        assert_eq!(rec.peer.scores(), a.scores());
+        assert_eq!(rec.peer.stats().meetings, a.stats().meetings);
+    }
+}
+
+#[test]
 fn wal_bit_flips_never_panic() {
     let store = MemStore::new();
     let _ = persisted_run(&store, "a", 2, 5);
