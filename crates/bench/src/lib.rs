@@ -2,7 +2,8 @@
 //! # jxp-bench
 //!
 //! Experiment harness: one binary per table/figure of the paper's
-//! evaluation (§6), plus criterion micro-benchmarks.
+//! evaluation (§6). Performance is measured end to end and per layer by
+//! the separate `jxpbench` crate.
 //!
 //! | Paper item | Binary |
 //! |---|---|

@@ -7,8 +7,23 @@
 //! score. Crucially it carries **no page content** — the paper's
 //! bandwidth argument (§6.2, Figures 11/12) rests on exactly this, and
 //! [`MeetingPayload::wire_size`] is what those figures measure.
+//!
+//! The payload has one byte encoding, [`MeetingPayload::encode`] /
+//! [`MeetingPayload::decode`]: it is the body of a `jxp-wire`
+//! MeetRequest/MeetReply frame and the bulk of a `core::snapshot`
+//! checkpoint, so both paths share one layout and one validator.
+//!
+//! ```text
+//! world_score f64
+//! num_pages u32,    per page:  page u32 | score f64 | num_succs u32 | succs u32…
+//! num_world u32,    per entry: src u32 | out_degree u32 | score f64 | num_targets u32 | targets u32…
+//! num_dangling u32, per entry: page u32 | score f64
+//! ```
+//!
+//! Little-endian throughout.
 
 use crate::world::WorldNode;
+use bytes::{Buf, BufMut};
 use jxp_webgraph::{PageId, Subgraph};
 
 /// Knowledge about one of the sender's local pages.
@@ -150,10 +165,10 @@ impl MeetingPayload {
     ///
     /// Accounting: 4 bytes per page id, 8 per score, 4 per out-degree or
     /// list length, 8 for the world score, 12 for the three section
-    /// lengths (pages, world, dangling). This is exactly the length of the
-    /// `jxp-wire` frame *body* encoding the payload — pinned by a test in
-    /// `crates/wire` — so Figures 11/12 report measured bytes; the codec's
-    /// fixed 12-byte frame header is the only residual delta.
+    /// lengths (pages, world, dangling). This is exactly the length of
+    /// [`encode`](MeetingPayload::encode)'s output, which is the
+    /// `jxp-wire` frame body, so Figures 11/12 report measured bytes; the
+    /// codec's fixed 12-byte frame header is the only residual delta.
     pub fn wire_size(&self) -> usize {
         let pages: usize = self
             .pages
@@ -166,6 +181,80 @@ impl MeetingPayload {
             .map(|w| 4 + 4 + 8 + 4 + 4 * w.targets.len())
             .sum();
         8 + 12 + pages + world + self.world_dangling.len() * 12
+    }
+
+    /// Append the payload's encoding — exactly [`wire_size`] bytes —
+    /// to `buf`.
+    ///
+    /// [`wire_size`]: MeetingPayload::wire_size
+    pub fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_f64_le(self.world_score);
+        buf.put_u32_le(self.pages.len() as u32);
+        for pp in &self.pages {
+            buf.put_u32_le(pp.page.0);
+            buf.put_f64_le(pp.score);
+            put_ids(buf, &pp.succs);
+        }
+        buf.put_u32_le(self.world.len() as u32);
+        for wp in &self.world {
+            buf.put_u32_le(wp.src.0);
+            buf.put_u32_le(wp.out_degree);
+            buf.put_f64_le(wp.score);
+            put_ids(buf, &wp.targets);
+        }
+        buf.put_u32_le(self.world_dangling.len() as u32);
+        for &(page, score) in &self.world_dangling {
+            buf.put_u32_le(page.0);
+            buf.put_f64_le(score);
+        }
+    }
+
+    /// Decode one payload from the front of `buf`, advancing it past the
+    /// bytes read; trailing bytes are left for the caller to judge.
+    ///
+    /// Every length field is checked against the remaining bytes before
+    /// anything is allocated, so a corrupt count cannot drive a huge
+    /// allocation. Decoding checks structure only: the result comes from
+    /// an untrusted source and must pass [`validate`] before it is
+    /// absorbed or restored.
+    ///
+    /// [`validate`]: MeetingPayload::validate
+    pub fn decode(buf: &mut &[u8]) -> Result<Self, &'static str> {
+        let world_score = take_f64(buf)?;
+        let num_pages = take_len(buf, 16)?;
+        let mut pages = Vec::with_capacity(num_pages);
+        for _ in 0..num_pages {
+            let page = PageId(take_u32(buf)?);
+            let score = take_f64(buf)?;
+            let succs = take_ids(buf)?;
+            pages.push(PagePayload { page, score, succs });
+        }
+        let num_world = take_len(buf, 20)?;
+        let mut world = Vec::with_capacity(num_world);
+        for _ in 0..num_world {
+            let src = PageId(take_u32(buf)?);
+            let out_degree = take_u32(buf)?;
+            let score = take_f64(buf)?;
+            let targets = take_ids(buf)?;
+            world.push(WorldPayload {
+                src,
+                out_degree,
+                score,
+                targets,
+            });
+        }
+        let num_dangling = take_len(buf, 12)?;
+        let mut world_dangling = Vec::with_capacity(num_dangling);
+        for _ in 0..num_dangling {
+            let page = PageId(take_u32(buf)?);
+            world_dangling.push((page, take_f64(buf)?));
+        }
+        Ok(MeetingPayload {
+            pages,
+            world,
+            world_dangling,
+            world_score,
+        })
     }
 
     /// Number of local pages described.
@@ -185,6 +274,42 @@ fn strictly_ascending(mut ids: impl Iterator<Item = PageId>) -> bool {
     let mut last = None;
     // `None` orders before every id, so the first one always passes.
     ids.all(|id| last.replace(id) < Some(id))
+}
+
+fn put_ids(buf: &mut impl BufMut, ids: &[PageId]) {
+    buf.put_u32_le(ids.len() as u32);
+    for id in ids {
+        buf.put_u32_le(id.0);
+    }
+}
+
+fn take_u32(buf: &mut &[u8]) -> Result<u32, &'static str> {
+    if buf.remaining() < 4 {
+        return Err("field overruns body");
+    }
+    Ok(buf.get_u32_le())
+}
+
+fn take_f64(buf: &mut &[u8]) -> Result<f64, &'static str> {
+    if buf.remaining() < 8 {
+        return Err("field overruns body");
+    }
+    Ok(buf.get_f64_le())
+}
+
+/// Read an element count and reject it if that many elements of at
+/// least `min_elem` bytes cannot fit in what remains.
+fn take_len(buf: &mut &[u8], min_elem: usize) -> Result<usize, &'static str> {
+    let claimed = take_u32(buf)? as usize;
+    if claimed > buf.remaining() / min_elem {
+        return Err("length field overruns body");
+    }
+    Ok(claimed)
+}
+
+fn take_ids(buf: &mut &[u8]) -> Result<Vec<PageId>, &'static str> {
+    let n = take_len(buf, 4)?;
+    Ok((0..n).map(|_| PageId(buf.get_u32_le())).collect())
 }
 
 #[cfg(test)]

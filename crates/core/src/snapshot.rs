@@ -8,27 +8,48 @@
 //! snapshot so a re-joining peer resumes where it left off. The churn
 //! integration tests demonstrate the payoff.
 //!
-//! Format (little-endian): magic `JXPP`, version, config block, `N`,
-//! the fragment's adjacency with per-page scores, the world node's link
-//! entries and dangling entries, and the peer statistics.
+//! Format (little-endian): a header — magic `JXPP`, version, config
+//! block, `N` and the two persisted statistics counters — followed by
+//! the peer's [`MeetingPayload`] in its wire encoding
+//! ([`MeetingPayload::encode`]). A snapshot therefore holds exactly what
+//! the peer would send in a meeting plus the state a meeting does not
+//! carry, and [`load`] restores it through the same
+//! [`MeetingPayload::decode`] and [`MeetingPayload::validate`] that
+//! guard every received payload.
+//!
+//! ```text
+//! offset  size  field
+//! 0       4     magic b"JXPP"
+//! 4       4     version u32 (VERSION)
+//! 8       8     epsilon f64
+//! 16      8     pr_tolerance f64
+//! 24      4     pr_max_iterations u32
+//! 28      1     merge mode (0 = Full, 1 = LightWeight)
+//! 29      1     combine mode (0 = Average, 1 = TakeMax)
+//! 30      8     N f64
+//! 38      8     meetings u64
+//! 46      8     total_pr_iterations u64
+//! 54      n     MeetingPayload encoding
+//! ```
 
 use crate::config::{CombineMode, JxpConfig, MergeMode};
+use crate::payload::MeetingPayload;
 use crate::peer::{JxpPeer, PeerStats};
 use crate::world::WorldNode;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use jxp_webgraph::{PageId, Subgraph};
+use jxp_webgraph::Subgraph;
 
 const MAGIC: [u8; 4] = *b"JXPP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Bytes before the payload encoding.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8 + 8;
 
 /// Serialize a peer's full state.
 pub fn save(peer: &JxpPeer) -> Bytes {
-    let graph = peer.graph();
-    let world = peer.world();
-    let mut buf = BytesMut::with_capacity(64 + graph.num_links() * 4 + world.wire_size());
+    let payload = peer.payload();
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.wire_size());
     buf.put_slice(&MAGIC);
     buf.put_u32_le(VERSION);
-    // Config.
     let cfg = peer.config();
     buf.put_f64_le(cfg.epsilon);
     buf.put_f64_le(cfg.pr_tolerance);
@@ -41,40 +62,10 @@ pub fn save(peer: &JxpPeer) -> Bytes {
         CombineMode::Average => 0,
         CombineMode::TakeMax => 1,
     });
-    // Global page count and world score.
     buf.put_f64_le(peer.n_total());
-    buf.put_f64_le(peer.world_score());
-    // Fragment with scores.
-    buf.put_u32_le(graph.num_pages() as u32);
-    for i in 0..graph.num_pages() {
-        buf.put_u32_le(graph.page_at(i).0);
-        buf.put_f64_le(peer.scores()[i]);
-        let succs = graph.successors_at(i);
-        buf.put_u32_le(succs.len() as u32);
-        for s in succs {
-            buf.put_u32_le(s.0);
-        }
-    }
-    // World node: link entries (WorldNode::iter is sorted by PageId),
-    // then dangling.
-    buf.put_u32_le(world.len() as u32);
-    for (src, e) in world.iter() {
-        buf.put_u32_le(src.0);
-        buf.put_u32_le(e.out_degree);
-        buf.put_f64_le(e.score);
-        buf.put_u32_le(e.targets.len() as u32);
-        for t in &e.targets {
-            buf.put_u32_le(t.0);
-        }
-    }
-    buf.put_u32_le(world.num_dangling() as u32);
-    for (p, s) in world.dangling_iter() {
-        buf.put_u32_le(p.0);
-        buf.put_f64_le(s);
-    }
-    // Statistics.
     buf.put_u64_le(peer.stats().meetings);
     buf.put_u64_le(peer.stats().total_pr_iterations);
+    payload.encode(&mut buf);
     buf.freeze()
 }
 
@@ -82,21 +73,17 @@ fn err(msg: &str) -> String {
     format!("corrupt peer snapshot: {msg}")
 }
 
-macro_rules! need {
-    ($buf:expr, $n:expr) => {
-        if $buf.remaining() < $n {
-            return Err(err("truncated"));
-        }
-    };
-}
-
 /// Deserialize a peer snapshot.
 ///
 /// # Errors
-/// Returns a description of the first structural problem (bad magic,
-/// truncation, invalid enum tags, inconsistent counts, invalid scores).
-pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
-    need!(buf, 8);
+/// Returns a description of the first problem: a bad header (magic,
+/// version, enum tags, epsilon, `N`), a payload that fails to decode or
+/// is followed by trailing bytes, or one that
+/// [`MeetingPayload::validate`] rejects.
+pub fn load(mut buf: &[u8]) -> Result<JxpPeer, String> {
+    if buf.remaining() < HEADER_LEN {
+        return Err(err("truncated"));
+    }
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
     if magic != MAGIC {
@@ -105,7 +92,6 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
     if buf.get_u32_le() != VERSION {
         return Err(err("unsupported version"));
     }
-    need!(buf, 8 + 8 + 4 + 2);
     let config = JxpConfig {
         epsilon: buf.get_f64_le(),
         pr_tolerance: buf.get_f64_le(),
@@ -128,85 +114,41 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
         return Err(err("epsilon out of range"));
     }
-    need!(buf, 16 + 4);
     let n_total = buf.get_f64_le();
-    let world_score = buf.get_f64_le();
-    if !world_score.is_finite() || !(0.0..=1.0).contains(&world_score) {
-        return Err(err("world score out of range"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if n == 0 {
-        return Err(err("empty fragment"));
-    }
-    // Every page entry needs at least 16 bytes, so a corrupt count is
-    // rejected before it can drive a multi-gigabyte allocation.
-    need!(buf, n * 16);
-    let mut adjacency = Vec::with_capacity(n);
-    let mut page_scores = Vec::with_capacity(n);
-    for _ in 0..n {
-        need!(buf, 16);
-        let page = PageId(buf.get_u32_le());
-        let score = buf.get_f64_le();
-        if !score.is_finite() || score < 0.0 {
-            return Err(err("invalid page score"));
-        }
-        let deg = buf.get_u32_le() as usize;
-        need!(buf, deg * 4);
-        let succs: Vec<PageId> = (0..deg).map(|_| PageId(buf.get_u32_le())).collect();
-        page_scores.push((page, score));
-        adjacency.push((page, succs));
-    }
-    let graph = Subgraph::from_adjacency(adjacency);
-    if graph.num_pages() != n {
-        return Err(err("duplicate pages in fragment"));
-    }
-    // Scores must be re-ordered to the Subgraph's dense (sorted) order.
-    let mut scores = vec![0.0f64; n];
-    for (page, score) in page_scores {
-        let idx = graph
-            .local_index(page)
-            .ok_or_else(|| err("page lost during reconstruction"))?;
-        scores[idx] = score;
-    }
-    // World node.
-    let mut world = WorldNode::new();
-    need!(buf, 4);
-    let num_entries = buf.get_u32_le() as usize;
-    for _ in 0..num_entries {
-        need!(buf, 20);
-        let src = PageId(buf.get_u32_le());
-        let out_degree = buf.get_u32_le();
-        let score = buf.get_f64_le();
-        let num_targets = buf.get_u32_le() as usize;
-        need!(buf, num_targets * 4);
-        let targets: Vec<PageId> = (0..num_targets).map(|_| PageId(buf.get_u32_le())).collect();
-        if out_degree == 0 || (targets.len() > out_degree as usize) {
-            return Err(err("inconsistent world entry"));
-        }
-        if !score.is_finite() || score < 0.0 {
-            return Err(err("invalid world entry score"));
-        }
-        world.upsert(src, out_degree, score, targets, config.combine);
-    }
-    need!(buf, 4);
-    let num_dangling = buf.get_u32_le() as usize;
-    for _ in 0..num_dangling {
-        need!(buf, 12);
-        let p = PageId(buf.get_u32_le());
-        let s = buf.get_f64_le();
-        if !s.is_finite() || s < 0.0 {
-            return Err(err("invalid dangling score"));
-        }
-        world.upsert_dangling(p, s, config.combine);
-    }
-    need!(buf, 16);
     let stats = PeerStats {
         meetings: buf.get_u64_le(),
         last_pr_iterations: 0,
         total_pr_iterations: buf.get_u64_le(),
     };
-    if !n_total.is_finite() || n_total < n as f64 {
+    let payload = MeetingPayload::decode(&mut buf).map_err(err)?;
+    if buf.has_remaining() {
+        return Err(err("trailing bytes"));
+    }
+    if payload.pages.is_empty() {
+        return Err(err("empty fragment"));
+    }
+    if !n_total.is_finite() || n_total < payload.pages.len() as f64 {
         return Err(err("N smaller than fragment"));
+    }
+    payload.validate().map_err(|why| err(&why))?;
+
+    // Validated: pages strictly ascending (so scores are already in the
+    // Subgraph's dense order), every score finite in [0, 1], every world
+    // entry structurally sound.
+    let MeetingPayload {
+        pages,
+        world: entries,
+        world_dangling,
+        world_score,
+    } = payload;
+    let scores = pages.iter().map(|p| p.score).collect();
+    let graph = Subgraph::from_adjacency(pages.into_iter().map(|p| (p.page, p.succs)));
+    let mut world = WorldNode::new();
+    for e in entries {
+        world.upsert(e.src, e.out_degree, e.score, e.targets, config.combine);
+    }
+    for (page, score) in world_dangling {
+        world.upsert_dangling(page, score, config.combine);
     }
     Ok(JxpPeer::from_snapshot_parts(
         graph,
@@ -223,7 +165,7 @@ pub fn load(mut buf: impl Buf) -> Result<JxpPeer, String> {
 mod tests {
     use super::*;
     use crate::meeting::meet;
-    use jxp_webgraph::GraphBuilder;
+    use jxp_webgraph::{GraphBuilder, PageId};
 
     fn warmed_up_peer() -> (JxpPeer, JxpPeer) {
         let mut b = GraphBuilder::new();
@@ -306,11 +248,9 @@ mod tests {
         for cut in 0..good.len().min(64) {
             assert!(load(&good[..cut]).is_err(), "prefix {cut} accepted");
         }
-        // Corrupt a score to NaN: find the first f64 after the config
-        // block is n_total; corrupt the world_score instead (offset 8+8+8+4+2).
+        // Corrupt the world score, the payload's first field, to NaN.
         let mut bad = good.to_vec();
-        let ws_off = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8;
-        bad[ws_off..ws_off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        bad[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(load(&bad[..]).is_err());
     }
 
@@ -343,10 +283,10 @@ mod tests {
     fn corrupt_counts_cannot_drive_huge_allocations() {
         let (a, _) = warmed_up_peer();
         let good = save(&a);
-        // Overwrite the fragment page count (right after the config
-        // block, N and world_score) with u32::MAX: load must reject it
-        // via the remaining-bytes bound instead of reserving 64 GiB.
-        let count_off = 4 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8;
+        // Overwrite the fragment page count (right after the header and
+        // the world score) with u32::MAX: load must reject it via the
+        // remaining-bytes bound instead of reserving 64 GiB.
+        let count_off = HEADER_LEN + 8;
         let mut bad = good.to_vec();
         bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(load(&bad[..]).is_err());
@@ -360,5 +300,37 @@ mod tests {
         let mut bad = good.to_vec();
         bad[n_total_off..n_total_off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(load(&bad[..]).is_err());
+    }
+
+    /// `good` with its payload rewritten by `edit`, header untouched.
+    fn with_payload(good: &[u8], edit: impl FnOnce(&mut MeetingPayload)) -> Vec<u8> {
+        let mut payload = MeetingPayload::decode(&mut &good[HEADER_LEN..]).unwrap();
+        edit(&mut payload);
+        let mut bad = good[..HEADER_LEN].to_vec();
+        payload.encode(&mut bad);
+        bad
+    }
+
+    #[test]
+    fn load_rejects_what_validate_rejects() {
+        let (a, _) = warmed_up_peer();
+        let good = save(&a);
+        assert!(!a.world().is_empty());
+        // Two page scores of 0.9: each is a valid score, together they
+        // claim more than the whole network's mass.
+        let bad = with_payload(&good, |p| {
+            p.pages[0].score = 0.9;
+            p.pages[1].score = 0.9;
+        });
+        let why = load(&bad).unwrap_err();
+        assert!(why.contains("total mass"), "{why}");
+        // A repeated world source would be upserted twice on restore.
+        let bad = with_payload(&good, |p| p.world.push(p.world[0].clone()));
+        let why = load(&bad).unwrap_err();
+        assert!(why.contains("world entries"), "{why}");
+        // Trailing bytes after the payload are corruption too.
+        let mut bad = good.to_vec();
+        bad.push(0);
+        assert!(load(&bad).is_err());
     }
 }

@@ -293,17 +293,6 @@ impl WorldNode {
         });
         self.dangling.retain(|&p, _| !graph.contains(p));
     }
-
-    /// Wire size in bytes when shipped in a meeting message: per entry one
-    /// page id (4), out-degree (4), score (8), target count (4) and 4 per
-    /// target; per dangling entry one id (4) and score (8).
-    pub fn wire_size(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| 4 + 4 + 8 + 4 + 4 * e.targets.len())
-            .sum::<usize>()
-            + self.dangling.len() * 12
-    }
 }
 
 #[cfg(test)]
@@ -414,17 +403,6 @@ mod tests {
         w.upsert(PageId(7), 2, 0.2, [PageId(0)], CombineMode::TakeMax);
         w.scale_scores(0.5);
         assert!((w.entry(PageId(7)).unwrap().score - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wire_size_grows_with_knowledge() {
-        let mut w = WorldNode::new();
-        let empty = w.wire_size();
-        w.upsert(PageId(7), 2, 0.2, [PageId(0)], CombineMode::TakeMax);
-        let one = w.wire_size();
-        assert!(one > empty);
-        w.upsert(PageId(7), 2, 0.2, [PageId(1)], CombineMode::TakeMax);
-        assert_eq!(w.wire_size(), one + 4);
     }
 
     #[test]

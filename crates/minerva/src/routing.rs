@@ -130,34 +130,6 @@ pub fn execute_routed(
     hits
 }
 
-/// Execute a routed query with the threshold algorithm ([`crate::topk`]):
-/// the selected peers contribute per-term score lists (term-wise maximum
-/// across peers), and TA finds the exact top-`k` of the summed scores
-/// while shipping only list prefixes. Returns the hits plus the access
-/// accounting.
-pub fn execute_routed_topk(
-    indexes: &[PeerIndex],
-    query: &Query,
-    fanout: usize,
-    k: usize,
-) -> crate::topk::TaResult {
-    let peers = route(indexes, query, fanout);
-    let lists: Vec<crate::topk::ScoredList> = query
-        .terms
-        .iter()
-        .map(|&t| {
-            crate::topk::ScoredList::from_pairs(peers.iter().flat_map(|&p| {
-                let idx = &indexes[p];
-                let idf = idx.idf(t);
-                idx.postings(t)
-                    .iter()
-                    .map(move |post| (post.page, (1.0 + (post.tf as f64).ln()) * idf))
-            }))
-        })
-        .collect();
-    crate::topk::ta_topk(&lists, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,46 +211,6 @@ mod tests {
         assert_eq!(pages.len(), before, "duplicate pages in merged results");
         assert!(hits.windows(2).all(|w| w[0].tfidf >= w[1].tfidf));
     }
-
-    #[test]
-    fn topk_execution_matches_term_max_aggregate() {
-        let (corpus, indexes) = setup();
-        let q = crate::corpus::Query {
-            name: "c0".into(),
-            terms: corpus.top_topic_terms(0, 3),
-            category: 0,
-        };
-        let r = execute_routed_topk(&indexes, &q, 3, 10);
-        assert_eq!(r.hits.len(), 10);
-        assert!(r.hits.windows(2).all(|w| w[0].tfidf >= w[1].tfidf));
-        // Verify against an exhaustive computation of the same aggregate
-        // (per-term max across the routed peers, summed over terms).
-        let peers = route(&indexes, &q, 3);
-        let mut acc: FxHashMap<PageId, f64> = FxHashMap::default();
-        for &t in &q.terms {
-            let mut per_term: FxHashMap<PageId, f64> = FxHashMap::default();
-            for &p in &peers {
-                let idf = indexes[p].idf(t);
-                for post in indexes[p].postings(t) {
-                    let s = (1.0 + (post.tf as f64).ln()) * idf;
-                    let e = per_term.entry(post.page).or_insert(f64::NEG_INFINITY);
-                    *e = e.max(s);
-                }
-            }
-            for (p, s) in per_term {
-                *acc.entry(p).or_insert(0.0) += s;
-            }
-        }
-        let mut expect: Vec<(PageId, f64)> = acc.into_iter().collect();
-        expect.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        for (hit, (p, s)) in r.hits.iter().zip(expect.iter()) {
-            assert!((hit.tfidf - s).abs() < 1e-9, "{:?} vs {p:?}", hit.page);
-        }
-        // TA should not have read everything.
-        assert!(r.sorted_accesses <= r.total_entries);
-    }
-
-    use jxp_webgraph::FxHashMap;
 
     #[test]
     fn authority_aware_routing_prefers_authoritative_peers() {

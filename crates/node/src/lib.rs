@@ -28,7 +28,7 @@ pub use cluster::{
     run_cluster, run_cluster_with, ClusterConfig, ClusterCtx, ClusterHooks, ClusterReport,
     StallPlan, TransportKind,
 };
-pub use loopback::{Fault, LoopbackNetwork};
+pub use loopback::LoopbackNetwork;
 pub use node::{JxpNode, MeetOutcome, NodeMetrics, NodeStats};
 pub use persist::{NodePersist, PersistConfig, SharedStore};
 pub use reactor::{serve_on_reactor, ReactorTransport};

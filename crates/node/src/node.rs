@@ -20,7 +20,7 @@ use jxp_core::peer::JxpPeer;
 use jxp_core::selection::{PeerSynopses, PreMeetingsConfig};
 use jxp_synopses::mips::MipsPermutations;
 use jxp_telemetry::{Counter, Registry};
-use jxp_wire::{encoded_len, ErrorCode, Frame, SynopsisPayload};
+use jxp_wire::{encoded_len, ErrorCode, Frame};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -368,11 +368,7 @@ impl JxpNode {
 
     /// First half of [`JxpNode::fetch_synopses`]: the request frame.
     pub fn synopses_request(&self) -> Frame {
-        Frame::SynopsisExchange(SynopsisPayload {
-            synopses: self.synopses(),
-            sketch: None,
-            bloom: None,
-        })
+        Frame::SynopsisExchange(self.synopses())
     }
 
     /// Second half of [`JxpNode::fetch_synopses`]: decode the reply,
@@ -380,7 +376,7 @@ impl JxpNode {
     /// blocking path performs.
     pub fn synopses_accept(&self, exchange: Exchange) -> Result<PeerSynopses, TransportError> {
         let remote = match exchange.reply {
-            Frame::SynopsisExchange(p) => p.synopses,
+            Frame::SynopsisExchange(s) => s,
             Frame::Error { detail, .. } => return Err(TransportError::Rejected(detail)),
             other => {
                 return Err(TransportError::Wire(jxp_wire::WireError::Malformed(
@@ -471,14 +467,7 @@ impl FrameHandler for JxpNode {
                     },
                 }
             }
-            Frame::SynopsisExchange(_) => {
-                let state = self.lock();
-                Frame::SynopsisExchange(SynopsisPayload {
-                    synopses: state.synopses.clone(),
-                    sketch: None,
-                    bloom: None,
-                })
-            }
+            Frame::SynopsisExchange(_) => Frame::SynopsisExchange(self.lock().synopses.clone()),
             Frame::Ack { of } => Frame::Ack { of },
             // A bare node has no index to search; the serve layer
             // (jxp-serve) intercepts queries before delegation.

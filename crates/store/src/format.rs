@@ -12,6 +12,13 @@
 //! magic "JXPC" | version u32 | seq u64 | payload_len u32 | crc32 u32 | payload
 //! ```
 //!
+//! The snapshot inside is a short `JXPP` header followed by the peer's
+//! `MeetingPayload` in the same encoding a `MeetRequest` body uses, and
+//! `core::snapshot::load` restores it through `MeetingPayload::validate`.
+//! The CRC here catches torn writes and bit rot; validation catches a
+//! CRC-valid state no honest peer can be in. Either failure makes
+//! [`recover`](crate::recover) fall back to the previous checkpoint.
+//!
 //! WAL record (appended after every applied meeting delta):
 //!
 //! ```text

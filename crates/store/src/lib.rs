@@ -13,7 +13,8 @@
 //!   the payload it absorbed (and, when serving, the reply it sent).
 //!
 //! Recovery ([`recover`]) decodes the current checkpoint — falling back
-//! to the previous one on CRC mismatch — then replays WAL records in
+//! to the previous one on CRC mismatch or a snapshot that fails
+//! validation — then replays WAL records in
 //! sequence over the restored peer. `JxpPeer::absorb` is deterministic
 //! given state + payload, so replay reproduces the pre-crash scores
 //! bit for bit. Every replayed payload is validated first, as on the
@@ -136,7 +137,8 @@ fn decode_and_load(bytes: &[u8]) -> Result<(u64, JxpPeer), StoreError> {
 /// Recover a peer from raw checkpoint bytes and a WAL byte stream.
 ///
 /// The recovery ladder, in order:
-/// 1. decode + CRC-check the current checkpoint;
+/// 1. decode + CRC-check the current checkpoint and load its snapshot
+///    through `MeetingPayload::validate`;
 /// 2. on any failure, fall back to the previous checkpoint
 ///    (`used_fallback = true`);
 /// 3. replay WAL records whose sequence continues the checkpoint's

@@ -138,6 +138,43 @@ fn corrupt_current_falls_back_to_previous_checkpoint() {
     assert_eq!(rec.peer.scores(), at_3_peer.scores());
 }
 
+/// `snapshot` with the first occurrence of `old`'s bytes replaced by
+/// `new`'s: an in-place score patch that leaves the layout intact.
+fn patch_f64(snapshot: &mut [u8], old: f64, new: f64) {
+    let old = old.to_le_bytes();
+    let at = snapshot
+        .windows(8)
+        .position(|w| w == old)
+        .expect("score bytes present in the snapshot");
+    snapshot[at..at + 8].copy_from_slice(&new.to_le_bytes());
+}
+
+#[test]
+fn current_checkpoint_failing_validation_falls_back_to_previous() {
+    let store = MemStore::new();
+    let (mut a, mut c) = peer_pair();
+    exchange(&mut a, &mut c);
+    let at_1 = snapshot::save(&a);
+    store.checkpoint("a", 1, &at_1).expect("checkpoint 1");
+    exchange(&mut a, &mut c);
+    // Two local scores of 0.9: each is in range, together they claim a
+    // local mass of 1.8. The store checksums these bytes as written, so
+    // only restoring through payload validation can catch them.
+    let mut bad = snapshot::save(&a).to_vec();
+    patch_f64(&mut bad, a.scores()[0], 0.9);
+    patch_f64(&mut bad, a.scores()[1], 0.9);
+    store.checkpoint("a", 2, &bad).expect("checkpoint 2");
+    let rec = store.load("a").expect("load").expect("state exists");
+    assert!(
+        rec.used_fallback,
+        "an invalid current checkpoint must fall back"
+    );
+    assert_eq!(rec.checkpoint_seq, 1);
+    let at_1_peer = snapshot::load(&at_1[..]).expect("snapshot loads");
+    assert_eq!(rec.peer.scores(), at_1_peer.scores());
+    assert!(rec.peer.local_mass() <= 1.0);
+}
+
 #[test]
 fn corrupt_current_without_fallback_is_an_error_not_a_panic() {
     let store = MemStore::new();

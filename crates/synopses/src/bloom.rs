@@ -89,37 +89,9 @@ impl BloomFilter {
     }
 
     /// Wire size in bytes: the bit words plus word-count, hash-count and
-    /// insert-count fields — exactly the length of the `jxp-wire` encoding.
+    /// insert-count fields.
     pub fn wire_size(&self) -> usize {
         4 + 4 + 8 + self.bits.len() * 8
-    }
-
-    /// The bit words (the filter's wire representation, together with
-    /// [`Self::num_hashes`] and [`Self::inserted`]).
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Number of hash functions.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
-    }
-
-    /// Reassemble a filter from its wire representation. Used by
-    /// `jxp-wire` when decoding.
-    ///
-    /// # Panics
-    /// Panics if `bits` is empty or `num_hashes == 0`.
-    pub fn from_parts(bits: Vec<u64>, num_hashes: u32, inserted: u64) -> Self {
-        assert!(!bits.is_empty(), "bloom filter needs at least one bit");
-        assert!(num_hashes > 0, "bloom filter needs at least one hash");
-        let num_bits = bits.len() * 64;
-        BloomFilter {
-            bits,
-            num_bits,
-            num_hashes,
-            inserted,
-        }
     }
 
     /// Estimate the number of *distinct* inserted keys from the fill

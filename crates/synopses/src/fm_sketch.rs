@@ -35,28 +35,12 @@ impl FmSketch {
         }
     }
 
-    /// Reassemble a sketch from its wire representation (the bitmap words
-    /// returned by [`Self::bitmaps`]). Used by `jxp-wire` when decoding.
-    ///
-    /// # Panics
-    /// Panics if `bitmaps` is empty.
-    pub fn from_bitmaps(bitmaps: Vec<u64>) -> Self {
-        assert!(!bitmaps.is_empty(), "need at least one bucket");
-        FmSketch { bitmaps }
-    }
-
-    /// The bucket bitmaps (the sketch's wire representation).
-    pub fn bitmaps(&self) -> &[u64] {
-        &self.bitmaps
-    }
-
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
         self.bitmaps.len()
     }
 
-    /// Wire size in bytes: the bitmaps plus a bucket-count prefix —
-    /// exactly the length of the `jxp-wire` encoding.
+    /// Wire size in bytes: the bitmaps plus a bucket-count prefix.
     pub fn wire_size(&self) -> usize {
         4 + self.bitmaps.len() * 8
     }

@@ -12,19 +12,17 @@
 //! 12      n     body (frame-type specific, little-endian throughout)
 //! ```
 //!
-//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] is exactly
-//! `MeetingPayload::wire_size()` bytes — the analytic accounting that
-//! Figures 11/12 plot *is* the measured encoding (pinned by
-//! [`tests::meeting_body_is_exactly_wire_size`]); the fixed
+//! The body of [`Frame::MeetRequest`] / [`Frame::MeetReply`] is the
+//! payload's own encoding ([`MeetingPayload::encode`], shared with
+//! `core::snapshot`), exactly `MeetingPayload::wire_size()` bytes — the
+//! analytic accounting that Figures 11/12 plot *is* the measured encoding
+//! (pinned by the `meeting_body_is_exactly_wire_size` test); the fixed
 //! [`HEADER_LEN`]-byte header is the only framing overhead. Likewise the
-//! synopsis types encode to exactly their `wire_size()`.
+//! synopsis frame encodes to exactly `PeerSynopses::wire_size()`.
 
 use bytes::{Buf, BufMut};
-use jxp_core::payload::{PagePayload, WorldPayload};
 use jxp_core::selection::PeerSynopses;
 use jxp_core::MeetingPayload;
-use jxp_synopses::bloom::BloomFilter;
-use jxp_synopses::fm_sketch::FmSketch;
 use jxp_synopses::mips::MipsVector;
 use jxp_webgraph::PageId;
 
@@ -32,7 +30,7 @@ use jxp_webgraph::PageId;
 pub const MAGIC: [u8; 4] = *b"JXPW";
 
 /// Current protocol version; bumped on any incompatible layout change.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Fixed frame-header length (magic + version + type + flags + body len).
 pub const HEADER_LEN: usize = 12;
@@ -138,30 +136,6 @@ impl ErrorCode {
     }
 }
 
-/// The synopses a peer publishes for pre-meetings selection and network
-/// size estimation, exchanged in one [`Frame::SynopsisExchange`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SynopsisPayload {
-    /// The two MIPs vectors of §4.3 (`local`, `successors`).
-    pub synopses: PeerSynopses,
-    /// FM sketch of the sender's page set (gossiped `N` estimation).
-    pub sketch: Option<FmSketch>,
-    /// Bloom filter of the sender's page set (alternative overlap
-    /// synopsis; compared against MIPs in the integration tests).
-    pub bloom: Option<BloomFilter>,
-}
-
-impl SynopsisPayload {
-    /// Exact body length of the [`Frame::SynopsisExchange`] encoding.
-    pub fn wire_size(&self) -> usize {
-        self.synopses.wire_size()
-            + 1
-            + self.sketch.as_ref().map_or(0, FmSketch::wire_size)
-            + 1
-            + self.bloom.as_ref().map_or(0, BloomFilter::wire_size)
-    }
-}
-
 /// A top-k search request answered by peers running the serve layer.
 /// Peers without a query front end answer [`Frame::Error`]/`Refused`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,8 +208,9 @@ pub enum Frame {
     MeetRequest(MeetingPayload),
     /// The responder's payload, completing the exchange.
     MeetReply(MeetingPayload),
-    /// Synopses for pre-meetings partner scoring and `N` estimation.
-    SynopsisExchange(SynopsisPayload),
+    /// The sender's two MIPs vectors (§4.3), for pre-meetings partner
+    /// scoring.
+    SynopsisExchange(PeerSynopses),
     /// Positive acknowledgement of the frame type named in `of`.
     Ack {
         /// Frame-type byte being acknowledged.
@@ -303,32 +278,10 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             buf.put_u64_le(*node_id);
             buf.put_u64_le(*num_pages);
         }
-        Frame::MeetRequest(p) | Frame::MeetReply(p) => encode_meeting_payload(&mut buf, p),
+        Frame::MeetRequest(p) | Frame::MeetReply(p) => p.encode(&mut buf),
         Frame::SynopsisExchange(s) => {
-            encode_mips(&mut buf, &s.synopses.local);
-            encode_mips(&mut buf, &s.synopses.successors);
-            match &s.sketch {
-                Some(fm) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(fm.num_buckets() as u32);
-                    for &w in fm.bitmaps() {
-                        buf.put_u64_le(w);
-                    }
-                }
-                None => buf.put_u8(0),
-            }
-            match &s.bloom {
-                Some(b) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(b.words().len() as u32);
-                    buf.put_u32_le(b.num_hashes());
-                    buf.put_u64_le(b.inserted());
-                    for &w in b.words() {
-                        buf.put_u64_le(w);
-                    }
-                }
-                None => buf.put_u8(0),
-            }
+            encode_mips(&mut buf, &s.local);
+            encode_mips(&mut buf, &s.successors);
         }
         Frame::Ack { of } => buf.put_u8(*of),
         Frame::Error { code, detail } => {
@@ -410,43 +363,16 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
             let num_pages = take_u64(&mut body)?;
             Frame::Hello { node_id, num_pages }
         }
-        TYPE_MEET_REQUEST => Frame::MeetRequest(decode_meeting_payload(&mut body)?),
-        TYPE_MEET_REPLY => Frame::MeetReply(decode_meeting_payload(&mut body)?),
-        TYPE_SYNOPSIS_EXCHANGE => {
-            let local = decode_mips(&mut body)?;
-            let successors = decode_mips(&mut body)?;
-            let sketch = match take_u8(&mut body)? {
-                0 => None,
-                1 => {
-                    let buckets = take_u32(&mut body)? as usize;
-                    if buckets == 0 {
-                        return Err(WireError::Malformed("zero-bucket FM sketch"));
-                    }
-                    let words = take_u64_vec(&mut body, buckets)?;
-                    Some(FmSketch::from_bitmaps(words))
-                }
-                _ => return Err(WireError::Malformed("bad sketch presence byte")),
-            };
-            let bloom = match take_u8(&mut body)? {
-                0 => None,
-                1 => {
-                    let words = take_u32(&mut body)? as usize;
-                    let num_hashes = take_u32(&mut body)?;
-                    let inserted = take_u64(&mut body)?;
-                    if words == 0 || num_hashes == 0 {
-                        return Err(WireError::Malformed("degenerate bloom filter"));
-                    }
-                    let bits = take_u64_vec(&mut body, words)?;
-                    Some(BloomFilter::from_parts(bits, num_hashes, inserted))
-                }
-                _ => return Err(WireError::Malformed("bad bloom presence byte")),
-            };
-            Frame::SynopsisExchange(SynopsisPayload {
-                synopses: PeerSynopses { local, successors },
-                sketch,
-                bloom,
-            })
+        TYPE_MEET_REQUEST => {
+            Frame::MeetRequest(MeetingPayload::decode(&mut body).map_err(WireError::Malformed)?)
         }
+        TYPE_MEET_REPLY => {
+            Frame::MeetReply(MeetingPayload::decode(&mut body).map_err(WireError::Malformed)?)
+        }
+        TYPE_SYNOPSIS_EXCHANGE => Frame::SynopsisExchange(PeerSynopses {
+            local: decode_mips(&mut body)?,
+            successors: decode_mips(&mut body)?,
+        }),
         TYPE_ACK => Frame::Ack {
             of: take_u8(&mut body)?,
         },
@@ -508,86 +434,6 @@ pub fn decode_frame(input: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
-fn encode_meeting_payload(buf: &mut Vec<u8>, p: &MeetingPayload) {
-    buf.put_f64_le(p.world_score);
-    buf.put_u32_le(p.pages.len() as u32);
-    for pp in &p.pages {
-        buf.put_u32_le(pp.page.0);
-        buf.put_f64_le(pp.score);
-        buf.put_u32_le(pp.succs.len() as u32);
-        for s in &pp.succs {
-            buf.put_u32_le(s.0);
-        }
-    }
-    buf.put_u32_le(p.world.len() as u32);
-    for wp in &p.world {
-        buf.put_u32_le(wp.src.0);
-        buf.put_u32_le(wp.out_degree);
-        buf.put_f64_le(wp.score);
-        buf.put_u32_le(wp.targets.len() as u32);
-        for t in &wp.targets {
-            buf.put_u32_le(t.0);
-        }
-    }
-    buf.put_u32_le(p.world_dangling.len() as u32);
-    for &(page, score) in &p.world_dangling {
-        buf.put_u32_le(page.0);
-        buf.put_f64_le(score);
-    }
-}
-
-fn decode_meeting_payload(body: &mut &[u8]) -> Result<MeetingPayload, WireError> {
-    let world_score = take_f64(body)?;
-    let num_pages = take_u32(body)? as usize;
-    check_claimed(body, num_pages, 16)?;
-    let mut pages = Vec::with_capacity(num_pages);
-    for _ in 0..num_pages {
-        let page = PageId(take_u32(body)?);
-        let score = take_f64(body)?;
-        let num_succs = take_u32(body)? as usize;
-        check_claimed(body, num_succs, 4)?;
-        let mut succs = Vec::with_capacity(num_succs);
-        for _ in 0..num_succs {
-            succs.push(PageId(take_u32(body)?));
-        }
-        pages.push(PagePayload { page, score, succs });
-    }
-    let num_world = take_u32(body)? as usize;
-    check_claimed(body, num_world, 20)?;
-    let mut world = Vec::with_capacity(num_world);
-    for _ in 0..num_world {
-        let src = PageId(take_u32(body)?);
-        let out_degree = take_u32(body)?;
-        let score = take_f64(body)?;
-        let num_targets = take_u32(body)? as usize;
-        check_claimed(body, num_targets, 4)?;
-        let mut targets = Vec::with_capacity(num_targets);
-        for _ in 0..num_targets {
-            targets.push(PageId(take_u32(body)?));
-        }
-        world.push(WorldPayload {
-            src,
-            out_degree,
-            score,
-            targets,
-        });
-    }
-    let num_dangling = take_u32(body)? as usize;
-    check_claimed(body, num_dangling, 12)?;
-    let mut world_dangling = Vec::with_capacity(num_dangling);
-    for _ in 0..num_dangling {
-        let page = PageId(take_u32(body)?);
-        let score = take_f64(body)?;
-        world_dangling.push((page, score));
-    }
-    Ok(MeetingPayload {
-        pages,
-        world,
-        world_dangling,
-        world_score,
-    })
-}
-
 fn encode_mips(buf: &mut Vec<u8>, v: &MipsVector) {
     buf.put_u32_le(v.dims() as u32);
     buf.put_u64_le(v.count());
@@ -643,6 +489,7 @@ fn take_u64_vec(body: &mut &[u8], n: usize) -> Result<Vec<u64>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jxp_core::payload::{PagePayload, WorldPayload};
     use jxp_synopses::mips::MipsPermutations;
 
     fn sample_payload() -> MeetingPayload {
@@ -670,20 +517,11 @@ mod tests {
         }
     }
 
-    fn sample_synopses() -> SynopsisPayload {
+    fn sample_synopses() -> PeerSynopses {
         let perms = MipsPermutations::generate(16, 5);
-        let local = MipsVector::from_elements(&perms, 0..40u64);
-        let successors = MipsVector::from_elements(&perms, 20..90u64);
-        let mut sketch = FmSketch::new(32);
-        let mut bloom = BloomFilter::new(256, 4);
-        for x in 0..40u64 {
-            sketch.insert(x);
-            bloom.insert(x);
-        }
-        SynopsisPayload {
-            synopses: PeerSynopses { local, successors },
-            sketch: Some(sketch),
-            bloom: Some(bloom),
+        PeerSynopses {
+            local: MipsVector::from_elements(&perms, 0..40u64),
+            successors: MipsVector::from_elements(&perms, 20..90u64),
         }
     }
 
@@ -697,14 +535,9 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_body_is_exactly_wire_sizes() {
+    fn synopsis_body_is_exactly_wire_size() {
         let s = sample_synopses();
-        let expected = s.synopses.local.wire_size()
-            + s.synopses.successors.wire_size()
-            + 1
-            + s.sketch.as_ref().unwrap().wire_size()
-            + 1
-            + s.bloom.as_ref().unwrap().wire_size();
+        let expected = s.wire_size();
         let frame = Frame::SynopsisExchange(s);
         assert_eq!(encode_frame(&frame).len(), HEADER_LEN + expected);
     }
@@ -729,10 +562,8 @@ mod tests {
         let Frame::SynopsisExchange(d) = decoded else {
             panic!("wrong frame");
         };
-        assert_eq!(d.synopses.local, s.synopses.local);
-        assert_eq!(d.synopses.successors, s.synopses.successors);
-        assert_eq!(d.sketch, s.sketch);
-        assert_eq!(d.bloom, s.bloom);
+        assert_eq!(d.local, s.local);
+        assert_eq!(d.successors, s.successors);
     }
 
     #[test]

@@ -8,6 +8,5 @@ pub mod frame;
 pub use accum::FrameAccumulator;
 pub use frame::{
     decode_frame, encode_frame, encoded_len, ErrorCode, Frame, QueryHit, QueryPayload,
-    QueryReplyPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
-    PROTOCOL_VERSION,
+    QueryReplyPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION,
 };

@@ -4,13 +4,11 @@
 
 use jxp_core::payload::{MeetingPayload, PagePayload, WorldPayload};
 use jxp_core::selection::PeerSynopses;
-use jxp_synopses::bloom::BloomFilter;
-use jxp_synopses::fm_sketch::FmSketch;
 use jxp_synopses::mips::MipsVector;
 use jxp_webgraph::PageId;
 use jxp_wire::{
     decode_frame, encode_frame, encoded_len, ErrorCode, Frame, FrameAccumulator, QueryHit,
-    QueryPayload, QueryReplyPayload, SynopsisPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
+    QueryPayload, QueryReplyPayload, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -63,25 +61,9 @@ fn mips_vectors() -> impl Strategy<Value = MipsVector> {
         .prop_map(|(mins, count)| MipsVector::from_parts(mins, count))
 }
 
-fn synopsis_payloads() -> impl Strategy<Value = SynopsisPayload> {
-    let optional_sketch = (0u8..2, vec(0u64..u64::MAX, 1..16))
-        .prop_map(|(on, bitmaps)| (on == 1).then(|| FmSketch::from_bitmaps(bitmaps)));
-    let optional_bloom = (0u8..2, vec(0u64..u64::MAX, 1..16), 1u32..8, 0u64..1000).prop_map(
-        |(on, bits, hashes, inserted)| {
-            (on == 1).then(|| BloomFilter::from_parts(bits, hashes, inserted))
-        },
-    );
-    (
-        mips_vectors(),
-        mips_vectors(),
-        optional_sketch,
-        optional_bloom,
-    )
-        .prop_map(|(local, successors, sketch, bloom)| SynopsisPayload {
-            synopses: PeerSynopses { local, successors },
-            sketch,
-            bloom,
-        })
+fn synopses() -> impl Strategy<Value = PeerSynopses> {
+    (mips_vectors(), mips_vectors())
+        .prop_map(|(local, successors)| PeerSynopses { local, successors })
 }
 
 fn query_payloads() -> impl Strategy<Value = QueryPayload> {
@@ -118,7 +100,7 @@ fn frames() -> impl Strategy<Value = Frame> {
         0u8..8,
         (0u64..u64::MAX, 0u64..1_000_000),
         meeting_payloads(),
-        synopsis_payloads(),
+        synopses(),
         0u8..=255,
         vec(32u8..127, 0..40),
         (query_payloads(), query_replies()),

@@ -179,10 +179,17 @@ proptest! {
         (n, edges) in arb_graph(24, 80),
         cut in 1..23u32,
         meetings in 1..8usize,
+        mode in 0..4u8,
     ) {
         let g = build(n, &edges);
         let cut = (cut % n).max(1);
-        let cfg = JxpConfig::optimized();
+        // Every merge × combine config: restore validates the payload,
+        // so each must leave the peer in a state that passes.
+        let cfg = JxpConfig {
+            merge: if mode & 1 == 1 { MergeMode::Full } else { MergeMode::LightWeight },
+            combine: if mode & 2 == 2 { CombineMode::Average } else { CombineMode::TakeMax },
+            ..JxpConfig::optimized()
+        };
         let mut a = JxpPeer::new(
             Subgraph::from_pages(&g, (0..cut).map(PageId)),
             n as u64,
@@ -197,6 +204,7 @@ proptest! {
             meeting::meet(&mut a, &mut b);
         }
         let restored = jxp::core::snapshot::load(&jxp::core::snapshot::save(&a)[..]).unwrap();
+        prop_assert_eq!(restored.config(), a.config());
         prop_assert_eq!(restored.graph().pages(), a.graph().pages());
         prop_assert_eq!(restored.scores(), a.scores());
         prop_assert_eq!(restored.world_score(), a.world_score());
